@@ -2,7 +2,8 @@
 // analysis is built on: SpMM (the O(md t) affinity phase), GEMM / RandSVD
 // (the O(ndk t) initialization), one CCD sweep (the O(ndk) refinement), and
 // the ablation of incremental residual maintenance (Equations 18-20)
-// against naive recomputation.
+// against naive recomputation, and roofline rows for the serving engine's
+// two exact-scan dot kernels.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include "src/matrix/rand_svd.h"
 #include "src/matrix/spmm.h"
 #include "src/parallel/thread_pool.h"
+#include "src/serve/dot_block.h"
 
 namespace pane {
 namespace {
@@ -237,6 +239,66 @@ void BM_ResidualRecompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ResidualRecompute);
+
+// --- Serving engine dot kernels (roofline rows) ----------------------------
+
+// The exact scan's kernels at h=64. items/s counts mul-adds (compare with
+// the machine's peak multiply-add rate), bytes/s counts candidate-row bytes
+// streamed (compare with its memory bandwidth). 1024 rows (512 KiB) is one
+// engine tile and stays in cache; 100000 rows (51 MB) streams from memory
+// like a batch-of-one link scan over Z.
+constexpr int64_t kKernelDim = 64;
+
+void BM_DotRowsSingleQuery(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const bool dual = state.range(1) != 0;  // Eq. 21's xf + xb pair
+  Rng rng(4);
+  DenseMatrix rows(n, kKernelDim), queries(2, kKernelDim);
+  rows.FillGaussian(&rng);
+  queries.FillGaussian(&rng);
+  std::vector<double> out(static_cast<size_t>(n));
+  const serve::DotRowsFn dot_rows = serve::GetDotRows();
+  for (auto _ : state) {
+    dot_rows(queries.Row(0), dual ? queries.Row(1) : nullptr, kKernelDim,
+             rows.data(), n, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * kKernelDim *
+                          (dual ? 2 : 1));
+  state.SetBytesProcessed(state.iterations() * n * kKernelDim *
+                          static_cast<int64_t>(sizeof(double)));
+}
+BENCHMARK(BM_DotRowsSingleQuery)
+    ->Args({1024, 0})
+    ->Args({1024, 1})
+    ->Args({100000, 0})
+    ->Args({100000, 1});
+
+void BM_DotBlockWidth64(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const int64_t w = serve::kMaxDotBlockWidth;
+  Rng rng(5);
+  DenseMatrix rows(n, kKernelDim), panel(kKernelDim, w);
+  rows.FillGaussian(&rng);
+  panel.FillGaussian(&rng);
+  // Query q's scores land in row q of a w x n buffer, the engine's tile
+  // layout.
+  std::vector<double> out(static_cast<size_t>(w * n));
+  const serve::DotBlockFn dot_block = serve::GetDotBlock();
+  for (auto _ : state) {
+    for (int64_t c = 0; c < n; ++c) {
+      dot_block(panel.data(), kKernelDim, w, rows.Row(c), out.data() + c, n,
+                /*add=*/false);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n * kKernelDim * w);
+  state.SetBytesProcessed(state.iterations() * n * kKernelDim *
+                          static_cast<int64_t>(sizeof(double)));
+}
+BENCHMARK(BM_DotBlockWidth64)->Arg(1024);
 
 }  // namespace
 }  // namespace pane

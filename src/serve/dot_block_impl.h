@@ -1,22 +1,31 @@
-// Shared implementation of the blocked dot kernel, included by the
+// Shared implementation of the engine's dot kernels, included by the
 // baseline (dot_block.cc) and AVX2 (dot_block_avx2.cc) translation units
 // so both compile the exact same arithmetic under different instruction
 // sets. Everything here is inline; the per-TU entry points wrap
-// DotBlockDriver.
+// DotBlockDriver and DotRowsDriver.
 //
-// The per-(query, candidate) accumulation reproduces vector_ops::Dot
-// exactly — four stride-4 partial sums combined as (s0 + s1) + (s2 + s3),
-// then the ascending tail — while the q-inner loops run over QB
-// independent accumulators. QB and the panel width LD are compile-time
-// constants (the driver dispatches over the supported power-of-two
-// widths): with both known, the accumulator arrays live in registers and
-// the compiler vectorizes the contiguous q-dimension cleanly. A runtime
-// panel width defeats that (GCC falls back to cross-chain gathers over t,
-// ~3x slower), which is why callers pad query blocks to a supported
-// width instead of passing arbitrary ones.
+// Both kernels reproduce vector_ops::Dot's accumulation per (query,
+// candidate) pair exactly — four stride-4 partial sums combined as
+// (s0 + s1) + (s2 + s3), then the ascending tail — and vectorize along a
+// different axis:
+//
+//  * The block kernel runs the q-inner loops over QB independent
+//    accumulators of a transposed query panel. QB and the panel width LD
+//    are compile-time constants (the driver dispatches over the supported
+//    power-of-two widths): with both known, the accumulator arrays live in
+//    registers and the compiler vectorizes the contiguous q-dimension
+//    cleanly. Callers pad query blocks to a supported width.
+//  * The rows kernel serves one query: each candidate's four partial sums
+//    sit in the four lanes of one vector accumulator (lane j is Dot's
+//    s_j), and kDotRowsInFlight candidates are scored per pass so the
+//    query chunk is loaded once for all of them and their add chains
+//    overlap.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+
+#include "src/serve/dot_block.h"
 
 namespace pane {
 namespace serve {
@@ -77,37 +86,8 @@ inline void DotBlockWidth(const double* qt, int64_t h, const double* cand,
   }
 }
 
-/// Slow-path fallback for widths outside the supported set (kept for API
-/// completeness; the engine always pads to a supported width).
-template <int QB>
-inline void DotBlockRuntimeLd(const double* qt, int64_t h, int64_t ld,
-                              const double* cand, double* out,
-                              int64_t out_stride, bool add) {
-  double s[QB];
-  for (int q = 0; q < QB; ++q) s[q] = 0.0;
-  double s0, s1, s2, s3;
-  for (int q = 0; q < QB; ++q) {
-    s0 = s1 = s2 = s3 = 0.0;
-    int64_t t = 0;
-    for (; t + 4 <= h; t += 4) {
-      s0 += qt[t * ld + q] * cand[t];
-      s1 += qt[(t + 1) * ld + q] * cand[t + 1];
-      s2 += qt[(t + 2) * ld + q] * cand[t + 2];
-      s3 += qt[(t + 3) * ld + q] * cand[t + 3];
-    }
-    double o = (s0 + s1) + (s2 + s3);
-    for (; t < h; ++t) o += qt[t * ld + q] * cand[t];
-    s[q] = o;
-  }
-  if (add) {
-    for (int q = 0; q < QB; ++q) out[q * out_stride] += s[q];
-  } else {
-    for (int q = 0; q < QB; ++q) out[q * out_stride] = s[q];
-  }
-}
-
-/// Width dispatch. ld should be one of kDotBlockWidths (the engine pads
-/// its panels accordingly); other widths take the scalar fallback.
+/// Width dispatch over the supported panel widths, 2 to kMaxDotBlockWidth
+/// (a lone query goes to the rows kernel instead); any other width aborts.
 inline void DotBlockDriver(const double* qt, int64_t h, int64_t ld,
                            const double* cand, double* out,
                            int64_t out_stride, bool add) {
@@ -130,20 +110,73 @@ inline void DotBlockDriver(const double* qt, int64_t h, int64_t ld,
     case 2:
       DotBlockWidth<2>(qt, h, cand, out, out_stride, add);
       return;
-    case 1:
-      DotBlockWidth<1>(qt, h, cand, out, out_stride, add);
-      return;
     default:
-      break;
+      DotBlockBadWidth(ld);
   }
-  int64_t q = 0;
-  for (; q + 8 <= ld; q += 8) {
-    DotBlockRuntimeLd<8>(qt + q, h, ld, cand, out + q * out_stride,
-                         out_stride, add);
+}
+
+/// Four doubles as one vector value (two SSE2 registers in the baseline
+/// TU, one ymm register in the AVX2 TU). Lane-wise + and * round exactly
+/// like the scalar operations they replace.
+typedef double Lanes4 __attribute__((vector_size(4 * sizeof(double))));
+
+/// Scores NC contiguous rows (row c at rows + c * h) against query qa, and
+/// also against qb when kDual. Per row: lanes of `sa` hold Dot(qa, row)'s
+/// s0..s3, combined as (s0 + s1) + (s2 + s3) before the ascending tail;
+/// the dual score adds Dot(qb, row) after Dot(qa, row).
+template <int NC, bool kDual>
+inline void DotRowsFixed(const double* qa, const double* qb, int64_t h,
+                         const double* rows, double* out) {
+  Lanes4 sa[NC], sb[NC];
+  for (int c = 0; c < NC; ++c) {
+    sa[c] = Lanes4{0.0, 0.0, 0.0, 0.0};
+    sb[c] = Lanes4{0.0, 0.0, 0.0, 0.0};
   }
-  for (; q < ld; ++q) {
-    DotBlockRuntimeLd<1>(qt + q, h, ld, cand, out + q * out_stride,
-                         out_stride, add);
+  int64_t t = 0;
+  for (; t + 4 <= h; t += 4) {
+    // memcpy loads: rows and queries are only 8-byte aligned.
+    Lanes4 a, b;
+    std::memcpy(&a, qa + t, sizeof(a));
+    if constexpr (kDual) std::memcpy(&b, qb + t, sizeof(b));
+    for (int c = 0; c < NC; ++c) {
+      Lanes4 r;
+      std::memcpy(&r, rows + c * h + t, sizeof(r));
+      sa[c] += a * r;
+      if constexpr (kDual) sb[c] += b * r;
+    }
+  }
+  for (int c = 0; c < NC; ++c) {
+    const double* row = rows + c * h;
+    double oa = (sa[c][0] + sa[c][1]) + (sa[c][2] + sa[c][3]);
+    for (int64_t u = t; u < h; ++u) oa += qa[u] * row[u];
+    if constexpr (kDual) {
+      double ob = (sb[c][0] + sb[c][1]) + (sb[c][2] + sb[c][3]);
+      for (int64_t u = t; u < h; ++u) ob += qb[u] * row[u];
+      out[c] = oa + ob;
+    } else {
+      out[c] = oa;
+    }
+  }
+}
+
+template <bool kDual>
+inline void DotRowsRun(const double* qa, const double* qb, int64_t h,
+                       const double* rows, int64_t count, double* out) {
+  int64_t c = 0;
+  for (; c + kDotRowsInFlight <= count; c += kDotRowsInFlight) {
+    DotRowsFixed<kDotRowsInFlight, kDual>(qa, qb, h, rows + c * h, out + c);
+  }
+  for (; c < count; ++c) {
+    DotRowsFixed<1, kDual>(qa, qb, h, rows + c * h, out + c);
+  }
+}
+
+inline void DotRowsDriver(const double* qa, const double* qb, int64_t h,
+                          const double* rows, int64_t count, double* out) {
+  if (qb != nullptr) {
+    DotRowsRun<true>(qa, qb, h, rows, count, out);
+  } else {
+    DotRowsRun<false>(qa, qb, h, rows, count, out);
   }
 }
 

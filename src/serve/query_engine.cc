@@ -21,10 +21,9 @@ constexpr int64_t kDefaultQueryBlock = 64;
 constexpr int64_t kDefaultCandidateTile = 1024;
 constexpr int64_t kMinCandidateTile = 64;
 
-/// Copies query rows [begin, begin + b) of `factor` into the transposed
-/// panel layout the dot-block kernel consumes.
-/// Fills a width-`width` transposed panel with the b query rows; columns
-/// [b, width) are the zero padding the fast fixed-width kernels need.
+/// Copies the factor rows of queries [begin, begin + b) into the
+/// width-`width` transposed panel the block kernel consumes; columns
+/// [b, width) are the zero padding the fixed-width kernels need.
 void GatherTransposed(ConstMatrixView factor,
                       const std::vector<TopKQuery>& queries, int64_t begin,
                       int64_t b, int64_t width, double* qt) {
@@ -45,7 +44,7 @@ struct BlockShape {
 /// Applies explicit overrides, then shrinks the candidate tile and the
 /// query block (in that order) until every worker's scratch — two
 /// transposed panels plus the query-block x candidate-tile score buffer —
-/// fits the budget.
+/// fits the budget. The query block never exceeds kMaxDotBlockWidth.
 BlockShape DeriveBlockShape(const QueryEngineOptions& options, int64_t h) {
   BlockShape shape;
   if (options.query_block > 0) shape.query_block = options.query_block;
@@ -67,7 +66,9 @@ BlockShape DeriveBlockShape(const QueryEngineOptions& options, int64_t h) {
       shape.query_block /= 2;
     }
   }
-  shape.query_block = std::max<int64_t>(1, shape.query_block);
+  // Wider panels have no compile-time kernel (see PadDotBlockWidth).
+  shape.query_block =
+      std::clamp<int64_t>(shape.query_block, 1, kMaxDotBlockWidth);
   shape.candidate_tile = std::max<int64_t>(kMinCandidateTile,
                                            shape.candidate_tile);
   return shape;
@@ -279,55 +280,74 @@ Result<QueryEngine> QueryEngine::Create(const EmbeddingStore& store,
                 options);
 }
 
-void QueryEngine::ProcessAttributeRange(const std::vector<TopKQuery>& queries,
-                                        const AttributedGraph* exclude,
-                                        int64_t begin, int64_t end,
-                                        std::vector<Ranking>* results,
-                                        EngineCallStats* call_stats) const {
+void QueryEngine::ScanRange(Family family,
+                            const std::vector<TopKQuery>& queries,
+                            const AttributedGraph* exclude, int64_t q_begin,
+                            int64_t q_end, int64_t c_begin, int64_t c_end,
+                            std::vector<Ranking>* out,
+                            EngineCallStats* call_stats) const {
+  // Eq. 21 scores Dot(xf, y) + Dot(xb, y) over Y rows; Eq. 22 scores
+  // Dot(xf, z) over Z rows and always skips the query node itself.
+  const bool attr = family == Family::kAttributes;
+  const ConstMatrixView cand = attr ? y_ : z_;
+  // Candidates are offered under global ids (the base shifts a shard's
+  // local slice), so exclusion lists and tie-breaks work in global space.
+  const int64_t base = attr ? attr_base_ : link_base_;
   const int64_t h = xf_.cols();
-  const int64_t d = y_.rows();
   // Stage clocks are read per tile only when the caller asked for the
   // breakdown; a tile is ~query_block x candidate_tile x h flops, so two
   // clock reads against it are noise.
   const bool timed = call_stats != nullptr;
   int64_t scan_ns = 0, select_ns = 0, tiles = 0;
-  const int64_t max_b = std::min(query_block_, end - begin);
+  const int64_t max_b = std::min(query_block_, q_end - q_begin);
   const int64_t max_w = PadDotBlockWidth(max_b);
   const int64_t tile = candidate_tile_;
   const DotBlockFn dot_block = GetDotBlock();
-  std::vector<double> qtf(static_cast<size_t>(h * max_w));
-  std::vector<double> qtb(static_cast<size_t>(h * max_w));
+  const DotRowsFn dot_rows = GetDotRows();
+  // Transposed panels feed the block kernel; a lone query is scored
+  // straight from its factor rows by the rows kernel.
+  const size_t panel = max_b > 1 ? static_cast<size_t>(h * max_w) : 0;
+  std::vector<double> qtf(panel);
+  std::vector<double> qtb(attr ? panel : 0);
   std::vector<double> buf(static_cast<size_t>(max_w * tile));
   std::vector<SelectState> states;
 
-  for (int64_t block = begin; block < end; block += max_b) {
-    const int64_t b = std::min(max_b, end - block);
+  for (int64_t block = q_begin; block < q_end; block += max_b) {
+    const int64_t b = std::min(max_b, q_end - block);
     const int64_t w = PadDotBlockWidth(b);
-    GatherTransposed(xf_, queries, block, b, w, qtf.data());
-    GatherTransposed(xb_, queries, block, b, w, qtb.data());
+    if (b > 1) {
+      GatherTransposed(xf_, queries, block, b, w, qtf.data());
+      if (attr) GatherTransposed(xb_, queries, block, b, w, qtb.data());
+    }
     states.clear();
     for (int64_t q = 0; q < b; ++q) {
       const TopKQuery& query = queries[static_cast<size_t>(block + q)];
       states.emplace_back(query.k);
       if (exclude != nullptr) {
-        states.back().excluded = ExcludedIds(exclude->attributes(), query.node);
+        states.back().excluded = ExcludedIds(
+            attr ? exclude->attributes() : exclude->adjacency(), query.node);
       }
+      if (!attr) InsertSelf(&states.back().excluded, query.node);
     }
-    for (int64_t c0 = 0; c0 < d; c0 += tile) {
-      const int64_t len = std::min(tile, d - c0);
+    const int64_t node = queries[static_cast<size_t>(block)].node;
+    for (int64_t c0 = c_begin; c0 < c_end; c0 += tile) {
+      const int64_t len = std::min(tile, c_end - c0);
       const int64_t scan_start = timed ? MonotonicNanos() : 0;
-      for (int64_t c = c0; c < c0 + len; ++c) {
-        // Score = Dot(xf, y) + Dot(xb, y), summed in that order (Eq. 21).
-        dot_block(qtf.data(), h, w, y_.Row(c), buf.data() + (c - c0), tile,
-                  /*add=*/false);
-        dot_block(qtb.data(), h, w, y_.Row(c), buf.data() + (c - c0), tile,
-                  /*add=*/true);
+      if (b == 1) {
+        dot_rows(xf_.Row(node), attr ? xb_.Row(node) : nullptr, h,
+                 cand.Row(c0), len, buf.data());
+      } else {
+        for (int64_t c = c0; c < c0 + len; ++c) {
+          double* dst = buf.data() + (c - c0);
+          dot_block(qtf.data(), h, w, cand.Row(c), dst, tile, /*add=*/false);
+          if (attr) {
+            dot_block(qtb.data(), h, w, cand.Row(c), dst, tile, /*add=*/true);
+          }
+        }
       }
       const int64_t select_start = timed ? MonotonicNanos() : 0;
       for (int64_t q = 0; q < b; ++q) {
-        // Offer global candidate ids (attr_base_ shifts the local slice),
-        // so exclusion lists and tie-breaks work in global id space.
-        ScanTile(buf.data() + q * tile, attr_base_ + c0, len,
+        ScanTile(buf.data() + q * tile, base + c0, len,
                  &states[static_cast<size_t>(q)]);
       }
       if (timed) {
@@ -337,63 +357,7 @@ void QueryEngine::ProcessAttributeRange(const std::vector<TopKQuery>& queries,
       ++tiles;
     }
     for (int64_t q = 0; q < b; ++q) {
-      (*results)[static_cast<size_t>(block + q)] =
-          states[static_cast<size_t>(q)].heap.Take();
-    }
-  }
-  AccumulateRange(call_stats, scan_ns, select_ns, tiles, 0, 0);
-}
-
-void QueryEngine::ProcessTargetRange(const std::vector<TopKQuery>& queries,
-                                     const AttributedGraph* exclude,
-                                     int64_t begin, int64_t end,
-                                     std::vector<Ranking>* results,
-                                     EngineCallStats* call_stats) const {
-  const int64_t h = xf_.cols();
-  const int64_t n = z_.rows();
-  const bool timed = call_stats != nullptr;
-  int64_t scan_ns = 0, select_ns = 0, tiles = 0;
-  const int64_t max_b = std::min(query_block_, end - begin);
-  const int64_t max_w = PadDotBlockWidth(max_b);
-  const int64_t tile = candidate_tile_;
-  const DotBlockFn dot_block = GetDotBlock();
-  std::vector<double> qtf(static_cast<size_t>(h * max_w));
-  std::vector<double> buf(static_cast<size_t>(max_w * tile));
-  std::vector<SelectState> states;
-
-  for (int64_t block = begin; block < end; block += max_b) {
-    const int64_t b = std::min(max_b, end - block);
-    const int64_t w = PadDotBlockWidth(b);
-    GatherTransposed(xf_, queries, block, b, w, qtf.data());
-    states.clear();
-    for (int64_t q = 0; q < b; ++q) {
-      const TopKQuery& query = queries[static_cast<size_t>(block + q)];
-      states.emplace_back(query.k);
-      if (exclude != nullptr) {
-        states.back().excluded = ExcludedIds(exclude->adjacency(), query.node);
-      }
-      InsertSelf(&states.back().excluded, query.node);
-    }
-    for (int64_t c0 = 0; c0 < n; c0 += tile) {
-      const int64_t len = std::min(tile, n - c0);
-      const int64_t scan_start = timed ? MonotonicNanos() : 0;
-      for (int64_t c = c0; c < c0 + len; ++c) {
-        dot_block(qtf.data(), h, w, z_.Row(c), buf.data() + (c - c0), tile,
-                  /*add=*/false);
-      }
-      const int64_t select_start = timed ? MonotonicNanos() : 0;
-      for (int64_t q = 0; q < b; ++q) {
-        ScanTile(buf.data() + q * tile, link_base_ + c0, len,
-                 &states[static_cast<size_t>(q)]);
-      }
-      if (timed) {
-        scan_ns += select_start - scan_start;
-        select_ns += MonotonicNanos() - select_start;
-      }
-      ++tiles;
-    }
-    for (int64_t q = 0; q < b; ++q) {
-      (*results)[static_cast<size_t>(block + q)] =
+      (*out)[static_cast<size_t>(block + q)] =
           states[static_cast<size_t>(q)].heap.Take();
     }
   }
@@ -409,11 +373,14 @@ namespace {
 /// than lock annotations — there is no lock to annotate): the factor views
 /// and IVF indexes are immutable once Create / BuildPrunedIndex /
 /// LoadPrunedIndex return, every worker owns private scratch, and each
-/// worker writes only the result slots of its own [begin, end) range. The
-/// RunBlocks barrier in ParallelFor publishes those slots to the caller.
+/// worker writes only the result slots of its own [begin, end) range (or,
+/// under ExactTopK's candidate partition, only its own per-range ranking
+/// lists). The RunBlocks barrier publishes those slots to the caller.
 /// The only mutating members (BuildPrunedIndex / LoadPrunedIndex) must not
 /// run concurrently with queries — PaneServer builds its index before
-/// accepting traffic.
+/// accepting traffic. Calls must not come from a worker of the engine's
+/// own pool: a nested RunBlocks on one pool can deadlock (see
+/// QueryEngineOptions::pool).
 void RunRanges(ThreadPool* pool, int64_t count,
                const std::function<void(int64_t, int64_t)>& fn) {
   if (count == 0) return;
@@ -426,6 +393,51 @@ void RunRanges(ThreadPool* pool, int64_t count,
 
 }  // namespace
 
+std::vector<Ranking> QueryEngine::ExactTopK(
+    Family family, const std::vector<TopKQuery>& queries,
+    const AttributedGraph* exclude, EngineCallStats* call_stats) const {
+  const int64_t count = static_cast<int64_t>(queries.size());
+  const int64_t rows =
+      family == Family::kAttributes ? y_.rows() : z_.rows();
+  std::vector<Ranking> results(queries.size());
+  const int workers = pool_ != nullptr ? pool_->num_threads() : 1;
+  if (count == 0 || workers == 1 || count > workers) {
+    // Query partition: each worker scans every candidate for its queries.
+    RunRanges(pool_, count, [&](int64_t begin, int64_t end) {
+      ScanRange(family, queries, exclude, begin, end, 0, rows, &results,
+                call_stats);
+    });
+    return results;
+  }
+  // Candidate partition for batches of at most one query per worker:
+  // worker p scans candidate range p for every query of the batch, so a
+  // batch of one still uses every worker, and no worker streams all the
+  // candidates for a lone query (that scan is bandwidth-bound). Past one
+  // query per worker the attribute scan is faster under the query
+  // partition, and from about three per worker both scans are. The ranges
+  // hold disjoint global ids and RankBetter is a total order, so merging
+  // the per-range rankings with MergeTopK yields exactly the single-scan
+  // answer (the argument the router's shard merge rests on).
+  const int parts =
+      static_cast<int>(std::max<int64_t>(1, std::min<int64_t>(workers, rows)));
+  const std::vector<Range> ranges = PartitionRange(rows, parts);
+  std::vector<std::vector<Ranking>> partial(
+      static_cast<size_t>(parts), std::vector<Ranking>(queries.size()));
+  pool_->RunBlocks(parts, [&](int p) {
+    const Range& range = ranges[static_cast<size_t>(p)];
+    ScanRange(family, queries, exclude, 0, count, range.begin, range.end,
+              &partial[static_cast<size_t>(p)], call_stats);
+  });
+  std::vector<Ranking> lists(static_cast<size_t>(parts));
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (size_t p = 0; p < lists.size(); ++p) {
+      lists[p] = std::move(partial[p][q]);
+    }
+    results[q] = MergeTopK(lists, queries[q].k);
+  }
+  return results;
+}
+
 std::vector<Ranking> QueryEngine::TopKAttributes(
     const std::vector<TopKQuery>& queries, const AttributedGraph* exclude,
     EngineCallStats* call_stats) const {
@@ -435,13 +447,7 @@ std::vector<Ranking> QueryEngine::TopKAttributes(
     PANE_CHECK(q.node >= 0 && q.node < num_nodes());
     PANE_CHECK(q.k > 0);
   }
-  std::vector<Ranking> results(queries.size());
-  RunRanges(pool_, static_cast<int64_t>(queries.size()),
-            [&](int64_t begin, int64_t end) {
-              ProcessAttributeRange(queries, exclude, begin, end, &results,
-                                    call_stats);
-            });
-  return results;
+  return ExactTopK(Family::kAttributes, queries, exclude, call_stats);
 }
 
 std::vector<Ranking> QueryEngine::TopKTargets(
@@ -454,13 +460,7 @@ std::vector<Ranking> QueryEngine::TopKTargets(
     PANE_CHECK(q.node >= 0 && q.node < num_nodes());
     PANE_CHECK(q.k > 0);
   }
-  std::vector<Ranking> results(queries.size());
-  RunRanges(pool_, static_cast<int64_t>(queries.size()),
-            [&](int64_t begin, int64_t end) {
-              ProcessTargetRange(queries, exclude, begin, end, &results,
-                                 call_stats);
-            });
-  return results;
+  return ExactTopK(Family::kTargets, queries, exclude, call_stats);
 }
 
 std::vector<double> QueryEngine::AttributeScores(

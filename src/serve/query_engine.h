@@ -2,16 +2,30 @@
 // recommendation, Eq. 21; link recommendation, Eq. 22) plus pair scoring —
 // the serving subsystem's compute layer.
 //
-// Exact mode scores query blocks against candidate tiles with a blocked
-// dot-product kernel that reproduces vector_ops::Dot's accumulation
-// pattern per (query, candidate) pair exactly (four stride-4 partial sums
-// combined as (s0+s1)+(s2+s3), then the ascending tail) while vectorizing
-// across the queries of a block — so a served batch returns bitwise the
-// same scores as the offline per-query helpers in src/tasks/ranking.h
-// (which are themselves thin wrappers over this engine), independent of
-// batch size, block width, or thread count. Selection is a per-query
-// bounded heap under the deterministic ranking order of src/common/topk.h
-// instead of a sort over all candidates.
+// Exact mode scores query blocks against candidate tiles with the kernels
+// of src/serve/dot_block.h, which reproduce vector_ops::Dot's
+// accumulation pattern per (query, candidate) pair exactly (four stride-4
+// partial sums combined as (s0+s1)+(s2+s3), then the ascending tail): a
+// block kernel vectorizing across the queries of a block, and a rows
+// kernel for a lone query that vectorizes across each row's partial sums.
+// A served batch therefore returns bitwise the same scores as the offline
+// per-query helpers in src/tasks/ranking.h (which are themselves thin
+// wrappers over this engine), independent of batch size, block width, or
+// thread count. Selection is a per-query bounded heap under the
+// deterministic ranking order of src/common/topk.h instead of a sort over
+// all candidates.
+//
+// Parallelism: a batch with more queries than pool workers is split by
+// query, each worker scanning every candidate for its queries. A batch of
+// at most one query per worker — the usual batch of one from a connection
+// with one request outstanding — is split by candidate instead: each
+// worker scans one contiguous range of Y / Z rows for every query, and the
+// per-range rankings are combined with MergeTopK. The ranges hold disjoint
+// global ids and the ranking order is total, so the merged answer is
+// exactly the serial one, byte for byte. (Under the query partition a
+// worker with one query streams every candidate row for it, which is
+// bandwidth-bound; past one query per worker the attribute scan is faster
+// under the query partition, and from about three per worker both are.)
 //
 // Pruned mode routes the same queries through per-candidate-set IVF
 // indexes (src/serve/ivf_index.h) for sublinear approximate retrieval
@@ -40,8 +54,13 @@ namespace serve {
 class EmbeddingStore;
 
 struct QueryEngineOptions {
-  /// Parallelizes batches across queries (each query stays sequential, so
-  /// results are identical at any thread count). Null => serial.
+  /// Parallelizes batches across queries, or across candidates when the
+  /// batch has at most one query per worker (results are identical at any
+  /// thread count). Null => serial. Queries must not be issued from a
+  /// worker of this pool: the engine blocks in RunBlocks on it, and a
+  /// nested RunBlocks on one pool can deadlock. That is why local-shard
+  /// engines (BuildLocalShards), which run inside the router's fan-out
+  /// workers, are built serial.
   ThreadPool* pool = nullptr;
   /// Caps the per-worker scoring scratch (transposed query panels + the
   /// query-block x candidate-tile score buffer + heaps): the candidate
@@ -68,7 +87,8 @@ struct QueryEngineOptions {
 /// caller passes one: nanoseconds spent in tile dot-products (scan) and
 /// per-tile heap selection (select), plus tile / IVF-candidate counts.
 /// Atomic because range workers accumulate concurrently (once per range,
-/// not per tile).
+/// not per tile). The times sum worker time, not wall time: a batch of
+/// one split over four workers adds all four workers' scan time.
 struct EngineCallStats {
   std::atomic<int64_t> scan_ns{0};
   std::atomic<int64_t> select_ns{0};
@@ -222,14 +242,23 @@ class QueryEngine {
 
   void ResolveMetrics(obs::MetricsRegistry* registry);
 
-  void ProcessAttributeRange(const std::vector<TopKQuery>& queries,
-                             const AttributedGraph* exclude, int64_t begin,
-                             int64_t end, std::vector<Ranking>* results,
-                             EngineCallStats* call_stats) const;
-  void ProcessTargetRange(const std::vector<TopKQuery>& queries,
-                          const AttributedGraph* exclude, int64_t begin,
-                          int64_t end, std::vector<Ranking>* results,
-                          EngineCallStats* call_stats) const;
+  /// The two exact top-k families: Eq. 21 over Y rows, Eq. 22 over Z rows.
+  enum class Family { kAttributes, kTargets };
+
+  /// Exact top-k for one family: picks the query or the candidate
+  /// partition (see the file comment) and runs ScanRange on each part.
+  std::vector<Ranking> ExactTopK(Family family,
+                                 const std::vector<TopKQuery>& queries,
+                                 const AttributedGraph* exclude,
+                                 EngineCallStats* call_stats) const;
+  /// Ranks local candidate rows [c_begin, c_end) for queries [q_begin,
+  /// q_end), writing query i's ranking over that range to (*out)[i]. Owns
+  /// all its scratch, so ranges run concurrently.
+  void ScanRange(Family family, const std::vector<TopKQuery>& queries,
+                 const AttributedGraph* exclude, int64_t q_begin,
+                 int64_t q_end, int64_t c_begin, int64_t c_end,
+                 std::vector<Ranking>* out,
+                 EngineCallStats* call_stats) const;
   /// Folds one range's counters into the registry handles (if any) and the
   /// caller's EngineCallStats (if any).
   void AccumulateRange(EngineCallStats* call_stats, int64_t scan_ns,

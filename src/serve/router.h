@@ -232,6 +232,10 @@ struct LocalFleet {
 /// and hold attribute factors). `shard_options` carries the serving
 /// semantics for the per-shard servers (pruned / nprobe / exclude);
 /// `ivf` non-null builds each shard's pruned indexes with those options.
+/// Give `engine_options` no pool (serial shard engines): each shard engine
+/// runs inside a worker of the router's fan-out pool, and an engine that
+/// split a batch over that same pool would nest RunBlocks on it, which can
+/// deadlock.
 Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
                                     int num_shards,
                                     const QueryEngineOptions& engine_options,

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -324,6 +325,11 @@ void EpollTransport::AcceptReady() {
       return;  // EAGAIN: accepted everything pending
     }
     OwnedFd fd(raw);
+    // Answers are small writes. With Nagle on, a second answer written
+    // while the first is still unacknowledged waits for the client's
+    // delayed ACK (~40 ms) — a stall for any client that pipelines.
+    const int one = 1;
+    ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (static_cast<int64_t>(connections_.size()) >=
         options_.max_connections) {
       // The 503 path: one best-effort refusal payload, then close. The

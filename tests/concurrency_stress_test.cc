@@ -1,7 +1,9 @@
 // Concurrency stress suite, designed to run under the TSan tier
 // (cmake --preset tsan): ≥8 threads hammer the BufferPool residency ledger
-// and the ThreadPool RunBlocks barrier with randomized interleavings, plus
-// a burst through the logger's single guarded write path. Assertions check
+// and the ThreadPool RunBlocks barrier with randomized interleavings, send
+// batch-of-one exact queries through one engine whose candidate partition
+// shares a pool, plus a burst through the logger's single guarded write
+// path. Assertions check
 // the invariants that survive any interleaving (conserved counts, byte
 // integrity through eviction, non-negative ledgers); ThreadSanitizer checks
 // everything else.
@@ -19,8 +21,11 @@
 #include <gtest/gtest.h>
 
 #include "src/common/logging.h"
+#include "src/common/random.h"
 #include "src/common/sync.h"
+#include "src/matrix/dense_matrix.h"
 #include "src/parallel/thread_pool.h"
+#include "src/serve/query_engine.h"
 #include "src/store/buffer_pool.h"
 
 namespace pane {
@@ -226,6 +231,55 @@ TEST(ConcurrencyStressTest, SubmitDrainsOnShutdown) {
     for (auto& f : futures) f.get();
   }
   EXPECT_EQ(executed.load(), kTasks);
+}
+
+// ---------------------------------------------------------------------------
+// QueryEngine: 8 client threads issue batch-of-one exact attribute and link
+// queries against one engine over one shared 4-worker pool, so every call
+// takes the candidate partition and several RunBlocks barriers interleave
+// on the pool. Every answer must equal the serial engine's, bit for bit.
+TEST(ConcurrencyStressTest, SharedPoolBatchOfOneExactQueries) {
+  constexpr int64_t kNodes = 600;
+  constexpr int64_t kAttributes = 150;
+  constexpr int64_t kDim = 12;
+  constexpr int kQueriesPerThread = 24;
+  Rng rng(0xe9);
+  DenseMatrix xf(kNodes, kDim), xb(kNodes, kDim), y(kAttributes, kDim);
+  xf.FillGaussian(&rng);
+  xb.FillGaussian(&rng);
+  y.FillGaussian(&rng);
+  auto serial = serve::QueryEngine::Create(xf.View(), xb.View(), y.View(),
+                                           ConstMatrixView(), {});
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  ThreadPool pool(4);
+  serve::QueryEngineOptions options;
+  options.pool = &pool;
+  auto shared = serve::QueryEngine::Create(xf.View(), xb.View(), y.View(),
+                                           ConstMatrixView(), options);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+
+  std::atomic<int64_t> checked{0};
+  std::vector<std::thread> clients;
+  clients.reserve(kStressThreads);
+  for (int t = 0; t < kStressThreads; ++t) {
+    clients.emplace_back([&, t] {
+      std::mt19937_64 pick(0xc0ffee + static_cast<uint64_t>(t));
+      for (int i = 0; i < kQueriesPerThread; ++i) {
+        const serve::TopKQuery query{static_cast<int64_t>(pick() % kNodes),
+                                     static_cast<int64_t>(1 + pick() % 40)};
+        const bool attr = (i + t) % 2 == 0;
+        const auto got = attr ? shared->TopKAttributes({query})
+                              : shared->TopKTargets({query});
+        const auto want = attr ? serial->TopKAttributes({query})
+                               : serial->TopKTargets({query});
+        ASSERT_EQ(got, want) << (attr ? "attr" : "link") << " node "
+                             << query.node << " k " << query.k;
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(checked.load(), kStressThreads * kQueriesPerThread);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-// Tests for the serving subsystem: exact-engine equivalence with an
-// independent reference implementation (bitwise scores, exclude semantics,
-// self-edge skipping, tie-breaking, any thread count / blocking), the
+// Tests for the serving subsystem: the dot kernels against
+// vector_ops::Dot, exact-engine equivalence with an independent reference
+// implementation (bitwise scores, exclude semantics, self-edge skipping,
+// tie-breaking, any thread count / blocking / candidate partition), the
 // mmap-backed EmbeddingStore (zero-copy views, lifetime past unlink,
 // read-only pages, corrupt artifacts), the IVF pruned index's measured
 // recall, and the PaneServer line protocol with batching, deduplication
@@ -23,9 +24,12 @@
 
 #include "src/api/node_embedding.h"
 #include "src/common/logging.h"
+#include "src/common/random.h"
 #include "src/common/topk.h"
 #include "src/core/pane.h"
+#include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
+#include "src/serve/dot_block.h"
 #include "src/serve/embedding_store.h"
 #include "src/serve/line_protocol.h"
 #include "src/serve/query_engine.h"
@@ -213,6 +217,243 @@ TEST(QueryEngineTest, InvariantAcrossThreadsAndBlocking) {
   }
 }
 
+// ---- Dot kernels ----------------------------------------------------------
+
+/// The rows-kernel variants compiled into this binary, called directly so
+/// the generic one is checked on AVX2 hosts too.
+std::vector<std::pair<const char*, serve::DotRowsFn>> DotRowsVariants() {
+  std::vector<std::pair<const char*, serve::DotRowsFn>> variants = {
+      {"generic", serve::detail::DotRowsGeneric}};
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  if (__builtin_cpu_supports("avx2")) {
+    variants.emplace_back("avx2", serve::detail::DotRowsAvx2);
+  }
+#endif
+  return variants;
+}
+
+TEST(DotKernelTest, RowsKernelMatchesDotBitwise) {
+  Rng rng(29);
+  for (const int64_t h : {1, 2, 3, 4, 5, 7, 63, 64, 65}) {
+    for (int64_t count = 1; count <= serve::kDotRowsInFlight + 3; ++count) {
+      // Mixed magnitudes make every reassociation visible in the low bits.
+      DenseMatrix rows(count, h), queries(2, h);
+      rows.FillGaussian(&rng);
+      queries.FillGaussian(&rng);
+      for (int64_t t = 0; t < h; t += 3) queries(0, t) *= 1e6;
+      const double* qa = queries.Row(0);
+      const double* qb = queries.Row(1);
+      for (const auto& [name, dot_rows] : DotRowsVariants()) {
+        const std::string what = std::string(name) + " h=" +
+                                 std::to_string(h) +
+                                 " count=" + std::to_string(count);
+        // One slot past the run catches a write beyond `count`.
+        std::vector<double> single(static_cast<size_t>(count + 1), -7.0);
+        std::vector<double> dual(static_cast<size_t>(count + 1), -7.0);
+        dot_rows(qa, nullptr, h, rows.data(), count, single.data());
+        dot_rows(qa, qb, h, rows.data(), count, dual.data());
+        for (int64_t c = 0; c < count; ++c) {
+          const double* row = rows.Row(c);
+          EXPECT_EQ(single[static_cast<size_t>(c)], Dot(qa, row, h)) << what;
+          EXPECT_EQ(dual[static_cast<size_t>(c)],
+                    Dot(qa, row, h) + Dot(qb, row, h))
+              << what;
+        }
+        EXPECT_EQ(single[static_cast<size_t>(count)], -7.0) << what;
+        EXPECT_EQ(dual[static_cast<size_t>(count)], -7.0) << what;
+      }
+    }
+  }
+}
+
+TEST(DotKernelTest, BlockKernelMatchesDotBitwiseAtEveryWidth) {
+  Rng rng(31);
+  const serve::DotBlockFn dot_block = serve::GetDotBlock();
+  for (const int64_t h : {3, 64, 65}) {
+    for (int64_t b = 2; b <= serve::kMaxDotBlockWidth; ++b) {
+      const int64_t w = serve::PadDotBlockWidth(b);
+      ASSERT_GE(w, b);
+      ASSERT_LE(w, serve::kMaxDotBlockWidth);
+      DenseMatrix queries(b, h), cand(1, h);
+      queries.FillGaussian(&rng);
+      cand.FillGaussian(&rng);
+      std::vector<double> qt(static_cast<size_t>(h * w), 0.0);
+      for (int64_t q = 0; q < b; ++q) {
+        for (int64_t t = 0; t < h; ++t) {
+          qt[static_cast<size_t>(t * w + q)] = queries(q, t);
+        }
+      }
+      std::vector<double> out(static_cast<size_t>(w));
+      dot_block(qt.data(), h, w, cand.data(), out.data(), 1, /*add=*/false);
+      for (int64_t q = 0; q < b; ++q) {
+        EXPECT_EQ(out[static_cast<size_t>(q)],
+                  Dot(queries.Row(q), cand.data(), h))
+            << "h=" << h << " b=" << b;
+      }
+    }
+  }
+}
+
+TEST(DotKernelTest, UnsupportedBlockWidthsAbort) {
+  EXPECT_DEATH(serve::PadDotBlockWidth(0), "no dot-block width");
+  EXPECT_DEATH(serve::PadDotBlockWidth(serve::kMaxDotBlockWidth + 1),
+               "no dot-block width");
+  const int64_t h = 5;
+  std::vector<double> qt(static_cast<size_t>(h * 128), 1.0);
+  std::vector<double> cand(static_cast<size_t>(h), 1.0);
+  std::vector<double> out(128);
+  for (const int64_t ld : {1, 3, 128}) {
+    for (const serve::DotBlockFn dot_block :
+         {serve::GetDotBlock(), &serve::detail::DotBlockGeneric}) {
+      EXPECT_DEATH(dot_block(qt.data(), h, ld, cand.data(), out.data(), 1,
+                             /*add=*/false),
+                   "no dot-block kernel for panel width " +
+                       std::to_string(ld));
+    }
+  }
+}
+
+// ---- Candidate partition (at most one query per pool worker) ------------
+
+/// Nodes whose ids sit on (or next to) the candidate-range boundaries of a
+/// 4-way split of 300 nodes / 80 attributes, plus the two ends.
+const std::vector<int64_t>& BoundaryNodes() {
+  static const std::vector<int64_t> nodes = {0,   19,  20,  74,  75,  76,
+                                             149, 150, 224, 225, 299};
+  return nodes;
+}
+
+/// Exclusion lists that cut across every range boundary: each boundary
+/// node links to all the others and holds every boundary attribute.
+AttributedGraph BoundaryExclusions() {
+  GraphBuilder builder(300, 80);
+  for (const int64_t u : BoundaryNodes()) {
+    for (const int64_t v : BoundaryNodes()) builder.AddEdge(u, v);
+    for (const int64_t r : {0, 19, 20, 39, 40, 59, 60, 79}) {
+      builder.AddNodeAttribute(u, r);
+    }
+  }
+  return builder.Build().ValueOrDie();
+}
+
+/// Batches of 1..5 queries drawn from the boundary nodes, with k below,
+/// above, and far above one range's candidate count. Under a 4-thread pool
+/// sizes 1..4 split the candidates and 5 takes the query partition.
+std::vector<std::vector<serve::TopKQuery>> SmallBatches() {
+  std::vector<std::vector<serve::TopKQuery>> batches;
+  const std::vector<int64_t>& nodes = BoundaryNodes();
+  const int64_t ks[] = {5, 30, 100, 100000};
+  size_t next = 0;
+  for (int64_t size = 1; size <= 5; ++size) {
+    for (const int64_t k : ks) {
+      std::vector<serve::TopKQuery> batch;
+      for (int64_t i = 0; i < size; ++i) {
+        batch.push_back({nodes[next++ % nodes.size()], k});
+      }
+      batches.push_back(batch);
+    }
+  }
+  return batches;
+}
+
+TEST(QueryEngineTest, SmallBatchesSplitCandidatesAcrossPoolBitwise) {
+  const auto& f = TrainedFixture::Get();
+  const AttributedGraph boundary = BoundaryExclusions();
+  const serve::QueryEngine serial = MakeEngine(f.embedding, EngineOptions());
+  ThreadPool pool(4);
+  const struct {
+    int64_t query_block, candidate_tile;
+  } configs[] = {{0, 0}, {1, 64}, {2, 64}};
+  for (const auto& config : configs) {
+    const serve::QueryEngine engine = MakeEngine(
+        f.embedding,
+        EngineOptions(&pool, config.query_block, config.candidate_tile));
+    for (const AttributedGraph* exclude :
+         {static_cast<const AttributedGraph*>(nullptr), &f.graph,
+          &boundary}) {
+      for (const auto& batch : SmallBatches()) {
+        const auto attr = engine.TopKAttributes(batch, exclude);
+        const auto link = engine.TopKTargets(batch, exclude);
+        const auto want_attr = serial.TopKAttributes(batch, exclude);
+        const auto want_link = serial.TopKTargets(batch, exclude);
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const std::string what =
+              "node " + std::to_string(batch[i].node) + " k " +
+              std::to_string(batch[i].k) + " batch " +
+              std::to_string(batch.size()) + " block " +
+              std::to_string(config.query_block);
+          ExpectSameRanking(want_attr[i], attr[i], "attr " + what);
+          ExpectSameRanking(want_link[i], link[i], "link " + what);
+          for (const auto& [v, score] : link[i]) {
+            (void)score;
+            EXPECT_NE(v, batch[i].node) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryEngineTest, ShardedEngineSplitsCandidatesWithGlobalIds) {
+  const auto& f = TrainedFixture::Get();
+  const EdgeScorer scorer(f.embedding);
+  const int64_t h = f.embedding.xf.cols();
+  store::ShardMeta shard;
+  shard.shard_index = 1;
+  shard.shard_count = 3;
+  shard.num_nodes = f.graph.num_nodes();
+  shard.num_attributes = f.graph.num_attributes();
+  shard.dim = h;
+  shard.attr_begin = 19;
+  shard.attr_end = 61;
+  shard.node_begin = 74;
+  shard.node_end = 226;
+  shard.has_attributes = true;
+  shard.has_links = true;
+  const ConstMatrixView y(f.embedding.y.Row(shard.attr_begin),
+                          shard.attr_end - shard.attr_begin, h);
+  const ConstMatrixView z(scorer.z().Row(shard.node_begin),
+                          shard.node_end - shard.node_begin, h);
+  const auto make = [&](ThreadPool* pool) {
+    auto engine = serve::QueryEngine::CreateSharded(
+        f.embedding.xf.View(), f.embedding.xb.View(), y, z, shard,
+        EngineOptions(pool, 0, 0));
+    EXPECT_TRUE(engine.ok()) << engine.status();
+    return engine.MoveValueUnsafe();
+  };
+  const serve::QueryEngine serial = make(nullptr);
+  ThreadPool pool(4);
+  const serve::QueryEngine split = make(&pool);
+  const AttributedGraph boundary = BoundaryExclusions();
+  for (const AttributedGraph* exclude :
+       {static_cast<const AttributedGraph*>(nullptr), &boundary}) {
+    for (const auto& batch : SmallBatches()) {
+      const auto attr = split.TopKAttributes(batch, exclude);
+      const auto link = split.TopKTargets(batch, exclude);
+      const auto want_attr = serial.TopKAttributes(batch, exclude);
+      const auto want_link = serial.TopKTargets(batch, exclude);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const std::string what = "shard node " +
+                                 std::to_string(batch[i].node) + " k " +
+                                 std::to_string(batch[i].k);
+        ExpectSameRanking(want_attr[i], attr[i], "attr " + what);
+        ExpectSameRanking(want_link[i], link[i], "link " + what);
+        for (const auto& [r, score] : attr[i]) {
+          (void)score;
+          EXPECT_GE(r, shard.attr_begin) << what;
+          EXPECT_LT(r, shard.attr_end) << what;
+        }
+        for (const auto& [v, score] : link[i]) {
+          (void)score;
+          EXPECT_GE(v, shard.node_begin) << what;
+          EXPECT_LT(v, shard.node_end) << what;
+          EXPECT_NE(v, batch[i].node) << what;
+        }
+      }
+    }
+  }
+}
+
 TEST(QueryEngineTest, DeterministicTieBreakIndexAscending) {
   // Identical factor rows => every candidate scores identically; the
   // deterministic order must return the lowest indices first.
@@ -223,20 +464,44 @@ TEST(QueryEngineTest, DeterministicTieBreakIndexAscending) {
   e.xf.Fill(0.5);
   e.xb.Fill(0.25);
   e.y.Fill(1.0);
-  ThreadPool pool(3);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+  // Batches of at most one query per worker split the candidates: under 4
+  // workers the 9 attributes fall into ranges [0,3) [3,5) [5,7) [7,9) and
+  // the 6 nodes into [0,2) [2,3) [3,4) [4,6), so the tied top-k spans
+  // range boundaries and node 2's range holds nothing but the query
+  // itself.
+  ThreadPool pool3(3), pool4(4);
+  for (ThreadPool* p :
+       {static_cast<ThreadPool*>(nullptr), &pool3, &pool4}) {
     const serve::QueryEngine engine = MakeEngine(e, EngineOptions(p, 2, 64));
-    const auto attr = engine.TopKAttributes({{0, 4}, {3, 4}}, nullptr);
-    for (const auto& ranking : attr) {
-      ASSERT_EQ(ranking.size(), 4u);
-      for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(ranking[static_cast<size_t>(i)].first, i);
+    for (const std::vector<serve::TopKQuery>& batch :
+         std::vector<std::vector<serve::TopKQuery>>{
+             {{0, 4}},
+             {{0, 4}, {3, 4}},
+             {{0, 4}, {3, 4}, {5, 4}},
+             {{0, 4}, {3, 4}, {5, 4}, {1, 4}}}) {
+      const auto attr = engine.TopKAttributes(batch, nullptr);
+      for (const auto& ranking : attr) {
+        ASSERT_EQ(ranking.size(), 4u);
+        for (int64_t i = 0; i < 4; ++i) {
+          EXPECT_EQ(ranking[static_cast<size_t>(i)].first, i);
+        }
+      }
     }
-    const auto link = engine.TopKTargets({{2, 6}}, nullptr);
-    // Self (node 2) is skipped; ties resolve index-ascending.
-    const std::vector<int64_t> expect_order = {0, 1, 3, 4, 5};
-    ASSERT_EQ(link[0].size(), expect_order.size());
-    for (size_t i = 0; i < expect_order.size(); ++i) {
-      EXPECT_EQ(link[0][i].first, expect_order[i]);
+    for (const std::vector<serve::TopKQuery>& batch :
+         std::vector<std::vector<serve::TopKQuery>>{
+             {{2, 6}},
+             {{2, 6}, {2, 6}},
+             {{2, 6}, {2, 6}, {2, 6}},
+             {{2, 6}, {2, 6}, {2, 6}, {2, 6}}}) {
+      const auto link = engine.TopKTargets(batch, nullptr);
+      // Self (node 2) is skipped; ties resolve index-ascending.
+      const std::vector<int64_t> expect_order = {0, 1, 3, 4, 5};
+      for (const auto& ranking : link) {
+        ASSERT_EQ(ranking.size(), expect_order.size());
+        for (size_t i = 0; i < expect_order.size(); ++i) {
+          EXPECT_EQ(ranking[i].first, expect_order[i]);
+        }
+      }
     }
   }
 }

@@ -2,8 +2,8 @@
 // loopback sockets: line and frame conversations over TCP, byte-at-a-time
 // request delivery across epoll wakeups, the max-connection refusal path,
 // idle-connection reaping, transport counters surfaced through `stats`,
-// and lifecycle safety (Shutdown before Listen, AcceptLoop without
-// Listen — the old PANE_CHECK ordering trap).
+// TCP_NODELAY on accepted sockets, and lifecycle safety (Shutdown before
+// Listen, AcceptLoop without Listen — the old PANE_CHECK ordering trap).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +14,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -268,6 +269,69 @@ TEST(EpollTransportTest, ManySequentialConnections) {
     EXPECT_EQ(response.rfind("pair 0 1 ok", 0), 0u) << response;
   }
   EXPECT_EQ(running.server().counters().requests, 40u);
+}
+
+/// The server side of a loopback connection whose client end is
+/// `client_fd`: the in-process socket whose local address is the client's
+/// peer and whose peer is the client's local address. -1 if none.
+int AcceptedPeerOf(int client_fd) {
+  sockaddr_in client_local, client_peer;
+  socklen_t len = sizeof(client_local);
+  if (getsockname(client_fd, reinterpret_cast<sockaddr*>(&client_local),
+                  &len) != 0) {
+    return -1;
+  }
+  len = sizeof(client_peer);
+  if (getpeername(client_fd, reinterpret_cast<sockaddr*>(&client_peer),
+                  &len) != 0) {
+    return -1;
+  }
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd", ec)) {
+    const int fd = std::stoi(entry.path().filename().string());
+    sockaddr_in local, peer;
+    socklen_t local_len = sizeof(local), peer_len = sizeof(peer);
+    if (getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) !=
+            0 ||
+        getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0 ||
+        local.sin_family != AF_INET || peer.sin_family != AF_INET) {
+      continue;
+    }
+    if (local.sin_port == client_peer.sin_port &&
+        peer.sin_port == client_local.sin_port &&
+        local.sin_addr.s_addr == client_peer.sin_addr.s_addr &&
+        peer.sin_addr.s_addr == client_local.sin_addr.s_addr) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+// Responses are small writes; with Nagle on, a second response written
+// while the first is unacknowledged waits for the client's delayed ACK
+// (~40 ms). Every accepted socket must therefore carry TCP_NODELAY.
+TEST(EpollTransportTest, AcceptedSocketsDisableNagle) {
+  const serve::QueryEngine engine = SmallEngine();
+  serve::ServerOptions options;
+  RunningServer running(&engine, options);
+  const int fd = ConnectLoopback(running.port());
+  // A served request proves the connection has been accepted.
+  WriteAll(fd, "pair 0 1\n");
+  ReadUntilSuffix(fd, "\n");
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    close(fd);
+    GTEST_SKIP() << "/proc/self/fd unavailable";
+  }
+  const int accepted = AcceptedPeerOf(fd);
+  ASSERT_GE(accepted, 0) << "server end of the connection not found";
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0)
+      << std::strerror(errno);
+  EXPECT_NE(nodelay, 0);
+  close(fd);
 }
 
 }  // namespace
