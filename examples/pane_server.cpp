@@ -161,13 +161,13 @@ int main(int argc, char** argv) {
     if (flags.GetBool("verbose")) {
       std::fprintf(stderr,
                    "store: method=%s n=%lld dim=%lld attrs=%lld mapped=%lldB "
-                   "zero_copy=%d sharded=%d\n",
+                   "sharded=%d\n",
                    store->method().c_str(),
                    static_cast<long long>(store->num_nodes()),
                    static_cast<long long>(store->dim()),
                    static_cast<long long>(store->num_attributes()),
                    static_cast<long long>(store->mapped_bytes()),
-                   store->zero_copy() ? 1 : 0, store->sharded() ? 1 : 0);
+                   store->sharded() ? 1 : 0);
     }
   }
 

@@ -1,10 +1,10 @@
 // Crash-safe file replacement: write into a same-directory temp file, fsync,
 // then atomically rename over the destination. A reader (or a crashed
 // writer) therefore only ever observes the old complete file or the new
-// complete file — never a torn half-write. Every artifact writer in the
-// tree (NodeEmbedding::Save, SaveGraphBinary, the store:: container) goes
-// through this helper, so "the process died mid-save" can no longer corrupt
-// a deployed embedding or graph snapshot.
+// complete file — never a torn half-write. Every file writer in the tree
+// (the store:: container that holds every binary artifact, and the text /
+// edge-list graph writers) goes through this helper, so "the process died
+// mid-save" can no longer corrupt a deployed embedding or graph snapshot.
 #pragma once
 
 #include <cstdint>

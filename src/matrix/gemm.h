@@ -54,4 +54,17 @@ void GemmTransBAddScaled(const DenseMatrix& a, const DenseMatrix& b,
                          double alpha, const DenseMatrix& c0, double beta,
                          DenseMatrix* c, ThreadPool* pool = nullptr);
 
+/// Z = Xb (Y^T Y), the link-candidate rows of Equation 22: p(u, w) =
+/// Xf[u] . Z[w]. The one derivation every link scorer shares (EdgeScorer,
+/// QueryEngine, and the shard split / local fleet, which slice rows of it),
+/// so sharded answers stay bitwise the unsharded ones. Header-inline so the
+/// serving layer can use it without linking pane_core, and so it adds no
+/// code to gemm.cc.
+inline void LinkCandidateRows(ConstMatrixView xb, ConstMatrixView y,
+                              DenseMatrix* z) {
+  DenseMatrix gram;  // Y^T Y, k/2 x k/2
+  GemmTransA(y, y, &gram);
+  Gemm(xb, gram, z);
+}
+
 }  // namespace pane

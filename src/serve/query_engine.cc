@@ -175,10 +175,8 @@ Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
   engine.candidate_tile_ = shape.candidate_tile;
   if (z.rows() == 0 && options.precompute_link_gram && xb.rows() > 0 &&
       y.rows() > 0) {
-    // Same two kernels EdgeScorer runs, so p(u, w) matches it bitwise.
-    DenseMatrix gram;
-    GemmTransA(y, y, &gram);
-    Gemm(xb, gram, &engine.z_owned_);
+    // The derivation EdgeScorer runs, so p(u, w) matches it bitwise.
+    LinkCandidateRows(xb, y, &engine.z_owned_);
     engine.z_ = engine.z_owned_.View();
   }
   engine.num_attributes_ = engine.y_.rows();

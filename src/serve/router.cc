@@ -386,11 +386,8 @@ Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
   const int64_t h = xf.cols();
 
   LocalFleet fleet;
-  // Full Z once, then row slices: bitwise the unsharded engine's Z (see
-  // SplitEmbeddingArtifact, which shares this derivation).
-  DenseMatrix gram;
-  GemmTransA(y, y, &gram);
-  Gemm(xb, gram, &fleet.z);
+  // Full Z once, then row slices: bitwise the unsharded engine's Z.
+  LinkCandidateRows(xb, y, &fleet.z);
 
   const ShardPlan plan = MakeShardPlan(n, d, num_shards);
   for (const ShardSpec& ranges : plan.shards) {

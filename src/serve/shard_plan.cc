@@ -130,12 +130,11 @@ Status SplitEmbeddingArtifact(const std::string& input_path,
   const int64_t d = y.rows();
   const int64_t h = xf.cols();
 
-  // Derive the full Z once with the unsharded engine's exact kernel
-  // sequence, then slice rows: GemmRows fills each output row
-  // independently, so shard slices are bitwise the unsharded Z rows.
-  DenseMatrix gram, z;
-  GemmTransA(y, y, &gram);
-  Gemm(xb, gram, &z);
+  // Derive the full Z once with the derivation the unsharded engine runs,
+  // then slice rows: Gemm fills each output row independently, so shard
+  // slices are bitwise the unsharded Z rows.
+  DenseMatrix z;
+  LinkCandidateRows(xb, y, &z);
 
   const ShardPlan plan = MakeShardPlan(n, d, num_shards);
   for (const ShardSpec& ranges : plan.shards) {

@@ -49,11 +49,11 @@ ShardPlan MakeShardPlan(int64_t num_nodes, int64_t num_attributes,
 Status ValidateShardSpecs(const std::vector<ShardSpec>& specs,
                           ShardPlan* plan);
 
-/// Splits an embedding artifact (legacy or container) into `num_shards`
-/// shard containers "<out_prefix>.<i>". The full Z = Xb (Y^T Y) is derived
-/// once with the same kernels the unsharded engine uses and row-sliced, so
-/// every shard's link scores are bitwise the unsharded engine's. Appends
-/// the written paths to *out_paths when non-null.
+/// Splits an embedding container (NodeEmbedding::SaveContainer) into
+/// `num_shards` shard containers "<out_prefix>.<i>". The full Z = Xb (Y^T Y)
+/// is derived once with LinkCandidateRows, as the unsharded engine does,
+/// and row-sliced, so every shard's link scores are bitwise the unsharded
+/// engine's. Appends the written paths to *out_paths when non-null.
 Status SplitEmbeddingArtifact(const std::string& input_path,
                               const std::string& out_prefix, int num_shards,
                               std::vector<std::string>* out_paths);

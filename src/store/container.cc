@@ -204,15 +204,18 @@ Result<Container> Container::Open(const std::string& path) {
   c.path_ = path;
   PANE_ASSIGN_OR_RETURN(c.map_, MappedFile::OpenReadOnly(path));
   const int64_t file_size = c.map_.size();
+  // No magic means some other kind of file (InvalidArgument); the magic
+  // followed by too few bytes means a truncated container (IOError).
+  if (file_size < static_cast<int64_t>(sizeof(uint64_t)) ||
+      !HasContainerMagic(c.map_.data())) {
+    return Status::InvalidArgument("not a PANE container: " + path);
+  }
   if (file_size < static_cast<int64_t>(sizeof(SuperblockHeader))) {
-    return Status::IOError("not a PANE container (only " +
-                           std::to_string(file_size) + " bytes): " + path);
+    return Status::IOError("PANE container truncated to " +
+                           std::to_string(file_size) + " bytes: " + path);
   }
   std::memcpy(&c.superblock_, c.map_.data(), sizeof(SuperblockHeader));
   const SuperblockHeader& sb = c.superblock_;
-  if (sb.magic != kContainerMagic) {
-    return Status::InvalidArgument("not a PANE container: " + path);
-  }
   if (sb.version != kFormatVersion) {
     return Status::InvalidArgument(
         "unsupported container format version " + std::to_string(sb.version) +

@@ -1,9 +1,10 @@
-// The NodeEmbedding artifact expressed as container streams — the glue both
-// the producer side (src/api/node_embedding.cc, SaveContainer/Load dispatch)
-// and the serving side (src/serve/embedding_store.cc) speak. Lives in
-// src/store so neither layer has to link the other; matrices therefore cross
-// this boundary as raw double extents and conventions as raw int8 codes (the
-// api layer owns the LinkConvention / AttributeConvention enums).
+// The NodeEmbedding artifact expressed as container streams — its only
+// on-disk form, and the glue both the producer side
+// (src/api/node_embedding.cc, SaveContainer / Load) and the serving side
+// (src/serve/embedding_store.cc) speak. Lives in src/store so neither layer
+// has to link the other; matrices therefore cross this boundary as raw
+// double extents and conventions as raw int8 codes (the api layer owns the
+// LinkConvention / AttributeConvention enums and their range check).
 //
 // Streams:
 //   emb.meta      (kMeta)          meta version, conventions, matrix shapes,
@@ -46,6 +47,15 @@ struct MatrixExtent {
     return rows * cols * static_cast<int64_t>(sizeof(double));
   }
 };
+
+/// True iff a rows x cols double matrix is exactly `bytes` long. Divides
+/// instead of multiplying, so a shape read from a corrupt meta stream
+/// cannot overflow. rows and cols must be positive.
+inline bool ShapeFillsPayload(int64_t rows, int64_t cols, int64_t bytes) {
+  const int64_t doubles = bytes / static_cast<int64_t>(sizeof(double));
+  return bytes % static_cast<int64_t>(sizeof(double)) == 0 &&
+         doubles % rows == 0 && doubles / rows == cols;
+}
 
 /// The embedding artifact, decoded from (or headed into) a container.
 struct EmbeddingExtents {

@@ -53,13 +53,12 @@ Status ResolveSlice(const Container& container, const std::string& name,
   Result<Container::StreamView> view_result =
       verify_payloads ? container.Read(name) : container.Peek(name);
   PANE_ASSIGN_OR_RETURN(Container::StreamView view, std::move(view_result));
-  const int64_t expected_bytes =
-      rows * cols * static_cast<int64_t>(sizeof(double));
-  if (view.bytes != expected_bytes) {
+  if (!ShapeFillsPayload(rows, cols, view.bytes)) {
     return Status::IOError(
         "container " + container.path() + " stream '" + name + "' holds " +
-        std::to_string(view.bytes) + " bytes but its shard range needs " +
-        std::to_string(expected_bytes));
+        std::to_string(view.bytes) + " bytes but its shard range needs a " +
+        std::to_string(rows) + " x " + std::to_string(cols) +
+        " double matrix");
   }
   out->data = reinterpret_cast<const double*>(view.data);
   out->rows = rows;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
 #include "src/common/sync.h"
 #include "src/core/affinity.h"
@@ -85,16 +86,23 @@ TEST_P(PanelWidthSweep, BitwiseEqualToUnfusedReferenceSerial) {
 TEST_P(PanelWidthSweep, BitwiseEqualToUnfusedReferencePooled) {
   const AttributedGraph g = testing::SmallSbm(42, 250);
   const GraphInputs in = MakeInputs(g);
-  const AffinityMatrices reference = ReferenceAffinity(in, 0.3, 4);
   ThreadPool pool(4);
-  AffinityEngineOptions options;
-  options.alpha = 0.3;
-  options.t = 4;
-  options.pool = &pool;
-  options.panel_width = GetParam();
-  const AffinityMatrices got = RunEngine(in, options);
-  ExpectBitwiseEqual(reference, got,
-                     "pooled panel_width=" + std::to_string(GetParam()));
+  // Short and long walks at low and high stopping probabilities.
+  const std::pair<double, int> walks[] = {
+      {0.3, 4}, {0.15, 1}, {0.15, 6}, {0.7, 1}, {0.7, 6}};
+  for (const auto& [alpha, t] : walks) {
+    const AffinityMatrices reference = ReferenceAffinity(in, alpha, t);
+    AffinityEngineOptions options;
+    options.alpha = alpha;
+    options.t = t;
+    options.pool = &pool;
+    options.panel_width = GetParam();
+    const AffinityMatrices got = RunEngine(in, options);
+    ExpectBitwiseEqual(reference, got,
+                       "pooled panel_width=" + std::to_string(GetParam()) +
+                           " alpha=" + std::to_string(alpha) +
+                           " t=" + std::to_string(t));
+  }
 }
 
 // d = 80: 1 and 7 exercise narrow / non-divisible panels (80 % 7 != 0),
@@ -114,6 +122,17 @@ TEST(AffinityEngineTest, Figure1GraphAllWidths) {
     options.panel_width = width;
     ExpectBitwiseEqual(reference, RunEngine(in, options),
                        "figure1 width=" + std::to_string(width));
+  }
+  // Default width with no pool, and with more workers (8) than attributes
+  // (3), so most of the ceil(d / nb) panels are empty.
+  ThreadPool pool(8);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    AffinityEngineOptions options;
+    options.alpha = 0.5;
+    options.t = 3;
+    options.pool = p;
+    ExpectBitwiseEqual(reference, RunEngine(in, options),
+                       p == nullptr ? "figure1 serial" : "figure1 nb=8");
   }
 }
 
@@ -247,13 +266,18 @@ TEST(AffinityEngineTest, UnboundedDefaultsReproduceHistoricalShapes) {
   EXPECT_EQ(stats.panel_width, 80);
   EXPECT_EQ(stats.num_panels, 1);
 
-  ThreadPool pool(5);
-  options.pool = &pool;
-  RunEngine(in, options, &stats);
-  // Pooled, unbounded: ceil(d / nb) columns per worker (PAPMI).
-  EXPECT_EQ(stats.panel_width, 16);
-  EXPECT_EQ(stats.num_panels, 5);
-  EXPECT_TRUE(stats.panel_parallel);
+  // Pooled, unbounded: ceil(d / nb) columns per worker (PAPMI), and
+  // Lemma 4.1 — bitwise the serial reference at every nb.
+  const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 3);
+  for (const int nb : {2, 3, 5, 8}) {
+    ThreadPool pool(nb);
+    options.pool = &pool;
+    const AffinityMatrices got = RunEngine(in, options, &stats);
+    EXPECT_EQ(stats.panel_width, (80 + nb - 1) / nb) << "nb=" << nb;
+    EXPECT_EQ(stats.num_panels, nb);
+    EXPECT_TRUE(stats.panel_parallel) << "nb=" << nb;
+    ExpectBitwiseEqual(reference, got, "unbounded nb=" + std::to_string(nb));
+  }
 }
 
 TEST(AffinityEngineTest, NegativeBackwardRowSumZeroesRowLikeReference) {

@@ -4,12 +4,18 @@
 // datasets and its NodeEmbedding feeds all three downstream-task adapters.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/api/adapters.h"
 #include "src/api/embedder.h"
 #include "src/api/evaluate.h"
+#include "src/api/node_embedding.h"
 #include "src/api/registry.h"
 #include "src/common/flags.h"
 #include "test_util.h"
@@ -168,6 +174,44 @@ TEST(EmbedderRegistryTest, EveryArtifactFeedsAllThreeAdapters) {
     EXPECT_EQ(features.rows(), g.num_nodes());
     EXPECT_GT(features.cols(), 0);
   }
+}
+
+TEST(EmbedderRegistryTest, EveryArtifactSurvivesTheContainerRoundTrip) {
+  // Train -> SaveContainer -> Load must hand the adapters the same bits.
+  const AttributedGraph g = testing::Figure1Graph();
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("api_artifact_" + std::to_string(::getpid()) + ".ctn"))
+          .string();
+  for (const std::string& name : EmbedderRegistry::Names()) {
+    SCOPED_TRACE(name);
+    const auto embedder =
+        EmbedderRegistry::Create(name, EmbedderConfig().Set("k", "4"));
+    ASSERT_TRUE(embedder.ok()) << embedder.status();
+    const auto trained = (*embedder)->Train(g);
+    ASSERT_TRUE(trained.ok()) << trained.status();
+    ASSERT_TRUE(trained->SaveContainer(path).ok());
+    const auto loaded = NodeEmbedding::Load(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->method, trained->method);
+    EXPECT_EQ(loaded->link_convention, trained->link_convention);
+    EXPECT_EQ(loaded->attribute_convention, trained->attribute_convention);
+    for (const auto& [a, b] :
+         {std::pair{&trained->features, &loaded->features},
+          {&trained->xf, &loaded->xf},
+          {&trained->xb, &loaded->xb},
+          {&trained->y, &loaded->y}}) {
+      ASSERT_TRUE(a->SameShape(*b));
+      EXPECT_EQ(a->MaxAbsDiff(*b), 0.0);
+    }
+    const auto before = MakeLinkScorer(
+        std::make_shared<const NodeEmbedding>(*trained), g.undirected());
+    const auto after = MakeLinkScorer(
+        std::make_shared<const NodeEmbedding>(*loaded), g.undirected());
+    ASSERT_TRUE(before.ok() && after.ok());
+    EXPECT_EQ((*before)(0, 3), (*after)(0, 3));
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(EvaluateTest, AllMethodsRunTheThreeTaskDrivers) {

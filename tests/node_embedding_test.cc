@@ -1,16 +1,21 @@
 // Tests for the unified NodeEmbedding artifact: shape / convention checks
-// and the single binary format, including byte-for-byte save/load round
-// trips with and without the optional factor blocks.
+// and its one on-disk format, the checksummed container — byte-for-byte
+// save/load round trips with and without the optional factor blocks, and
+// rejection of containers whose pages are intact but whose emb.meta lies.
 #include "src/api/node_embedding.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "src/common/random.h"
+#include "src/serve/embedding_store.h"
 #include "src/store/container.h"
+#include "src/store/embedding_pages.h"
+#include "test_util.h"
 
 namespace pane {
 namespace {
@@ -48,6 +53,56 @@ std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+/// The fields of an emb.meta stream, encoded by hand in the layout
+/// src/store/embedding_pages.cc documents: u32 meta_version | i8 link |
+/// i8 attr | u8 mask | u8 reserved | i64 shapes[8] (features, xf, xb, y
+/// as rows, cols pairs) | u32 method_len | method bytes.
+struct MetaFields {
+  int8_t link = 0;
+  int8_t attr = 0;
+  uint8_t mask = 0;
+  int64_t shapes[8] = {};
+  std::string method = "tadw";
+
+  std::string Encode() const {
+    std::string out;
+    const auto put = [&out](const void* p, size_t n) {
+      out.append(static_cast<const char*>(p), n);
+    };
+    const uint32_t version = store::kEmbeddingMetaVersion;
+    const uint8_t reserved = 0;
+    const uint32_t method_len = static_cast<uint32_t>(method.size());
+    put(&version, 4);
+    put(&link, 1);
+    put(&attr, 1);
+    put(&mask, 1);
+    put(&reserved, 1);
+    put(shapes, sizeof(shapes));
+    put(&method_len, 4);
+    out += method;
+    return out;
+  }
+};
+
+/// Saves `e` as a container, then replaces its emb.meta with `meta` (all
+/// page CRCs stay valid).
+void SaveWithMeta(const NodeEmbedding& e, const MetaFields& meta,
+                  const std::string& path) {
+  ASSERT_TRUE(e.SaveContainer(path).ok());
+  testing::RewriteContainerStream(
+      path, store::kEmbMetaStream,
+      [&meta](std::string* bytes) { *bytes = meta.Encode(); });
+}
+
+/// The meta SaveContainer writes for a feature-only artifact.
+MetaFields FeatureOnlyMeta(const NodeEmbedding& e) {
+  MetaFields meta;
+  meta.method = e.method;
+  meta.shapes[0] = e.features.rows();
+  meta.shapes[1] = e.features.cols();
+  return meta;
 }
 
 class NodeEmbeddingIoTest : public ::testing::Test {
@@ -95,7 +150,7 @@ TEST(NodeEmbeddingTest, CheckRejectsConventionWithoutFactors) {
 
 TEST_F(NodeEmbeddingIoTest, FeatureOnlyRoundTripIsByteForByte) {
   const NodeEmbedding e = FeatureOnlyEmbedding(20, 12, 6);
-  ASSERT_TRUE(e.Save(path_).ok());
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
   const auto loaded = NodeEmbedding::Load(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->method, "tadw");
@@ -105,13 +160,13 @@ TEST_F(NodeEmbeddingIoTest, FeatureOnlyRoundTripIsByteForByte) {
   EXPECT_TRUE(loaded->y.empty());
   EXPECT_EQ(e.features.MaxAbsDiff(loaded->features), 0.0);
 
-  ASSERT_TRUE(loaded->Save(path2_).ok());
+  ASSERT_TRUE(loaded->SaveContainer(path2_).ok());
   EXPECT_EQ(ReadFileBytes(path_), ReadFileBytes(path2_));
 }
 
 TEST_F(NodeEmbeddingIoTest, FactorRoundTripIsByteForByte) {
   const NodeEmbedding e = FactorEmbedding(15, 9, 4, 7);
-  ASSERT_TRUE(e.Save(path_).ok());
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
   const auto loaded = NodeEmbedding::Load(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->method, "pane");
@@ -122,14 +177,14 @@ TEST_F(NodeEmbeddingIoTest, FactorRoundTripIsByteForByte) {
   EXPECT_EQ(e.xb.MaxAbsDiff(loaded->xb), 0.0);
   EXPECT_EQ(e.y.MaxAbsDiff(loaded->y), 0.0);
 
-  ASSERT_TRUE(loaded->Save(path2_).ok());
+  ASSERT_TRUE(loaded->SaveContainer(path2_).ok());
   EXPECT_EQ(ReadFileBytes(path_), ReadFileBytes(path2_));
 }
 
 TEST_F(NodeEmbeddingIoTest, SaveRejectsInconsistentArtifacts) {
   NodeEmbedding e = FactorEmbedding(10, 6, 4, 8);
   e.y.Resize(6, 3);  // column count no longer matches xf
-  EXPECT_TRUE(e.Save(path_).IsInvalidArgument());
+  EXPECT_TRUE(e.SaveContainer(path_).IsInvalidArgument());
 }
 
 TEST_F(NodeEmbeddingIoTest, LoadRejectsGarbageAndMissingFiles) {
@@ -142,31 +197,19 @@ TEST_F(NodeEmbeddingIoTest, LoadRejectsGarbageAndMissingFiles) {
       NodeEmbedding::Load("/nonexistent/file.bin").status().IsIOError());
 }
 
-// First matrix record's file offset in a version-2 artifact: the padded
-// header (see src/api/embedding_format.h).
-size_t FirstMatrixOffset(const NodeEmbedding& e) {
-  const int64_t header = embedding_format::HeaderBytes(e.method.size());
-  return static_cast<size_t>(header + embedding_format::PaddingFor(header));
-}
-
 TEST_F(NodeEmbeddingIoTest, LoadRejectsImplausibleMatrixShapes) {
-  // Corrupt the features row count to claim ~2^31 rows: Load must return a
-  // Status instead of attempting a multi-gigabyte allocation.
+  // A meta claiming ~2^31 rows, or a shape whose byte count overflows
+  // int64, against a 10 x 4 payload: Load must return a Status instead of
+  // attempting a multi-gigabyte allocation.
   const NodeEmbedding e = FeatureOnlyEmbedding(10, 4, 10);
-  ASSERT_TRUE(e.Save(path_).ok());
-  std::string bytes = ReadFileBytes(path_);
-  const size_t rows_offset = FirstMatrixOffset(e);
-  const int64_t huge_rows = int64_t{1} << 31;
-  bytes.replace(rows_offset, sizeof(huge_rows),
-                reinterpret_cast<const char*>(&huge_rows),
-                sizeof(huge_rows));
-  {
-    std::ofstream out(path2_, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  for (const int64_t rows : {int64_t{1} << 31, int64_t{1} << 62}) {
+    MetaFields meta = FeatureOnlyMeta(e);
+    meta.shapes[0] = rows;
+    SaveWithMeta(e, meta, path2_);
+    const auto loaded = NodeEmbedding::Load(path2_);
+    ASSERT_FALSE(loaded.ok()) << "rows " << rows;
+    EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status();
   }
-  const auto loaded = NodeEmbedding::Load(path2_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsIOError());
 }
 
 TEST(NodeEmbeddingTest, CheckRejectsOverlongMethodNames) {
@@ -175,25 +218,15 @@ TEST(NodeEmbeddingTest, CheckRejectsOverlongMethodNames) {
   EXPECT_TRUE(e.Check().IsInvalidArgument());
 }
 
-TEST_F(NodeEmbeddingIoTest, LoadRejectsTruncatedFiles) {
-  const NodeEmbedding e = FactorEmbedding(12, 5, 4, 9);
-  ASSERT_TRUE(e.Save(path_).ok());
-  const std::string bytes = ReadFileBytes(path_);
-  {
-    std::ofstream out(path2_, std::ios::binary);
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size() / 2));
-  }
-  EXPECT_FALSE(NodeEmbedding::Load(path2_).ok());
-}
-
 TEST_F(NodeEmbeddingIoTest, TruncationSweepNeverSucceeds) {
-  // Every strict prefix — mid-header, mid-padding, mid-shape, mid-payload —
-  // must yield a Status, never a crash, OOM attempt, or silent success.
+  // Strict prefixes — every length inside the superblock, then cuts spread
+  // over the page table and the data pages — must yield a Status, never a
+  // crash, OOM attempt, or silent success.
   const NodeEmbedding e = FactorEmbedding(7, 4, 3, 13);
-  ASSERT_TRUE(e.Save(path_).ok());
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
   const std::string bytes = ReadFileBytes(path_);
-  for (size_t len = 0; len < bytes.size(); len += 3) {
+  for (size_t len = 0; len < bytes.size();
+       len += (len < 64 ? 1 : bytes.size() / 37)) {
     std::ofstream out(path2_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(len));
     out.close();
@@ -201,102 +234,39 @@ TEST_F(NodeEmbeddingIoTest, TruncationSweepNeverSucceeds) {
   }
 }
 
-TEST_F(NodeEmbeddingIoTest, SaveAlignsMatrixPayloadsToEightBytes) {
-  // Version-2 guarantee behind the zero-copy mmap store: every matrix
-  // payload (16 bytes past its record start) sits at an 8-byte offset.
-  for (const std::string method : {"pane", "pane-seq", "x"}) {
-    NodeEmbedding e = FactorEmbedding(6, 4, 3, 17);
-    e.method = method;
-    ASSERT_TRUE(e.Save(path_).ok());
-    const size_t record = FirstMatrixOffset(e);
-    EXPECT_EQ((record + 16) % 8, 0u) << method;
-    // The record starts right after magic/version/method/conventions/mask
-    // plus padding; re-load to prove the padding round-trips.
-    const auto loaded = NodeEmbedding::Load(path_);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(loaded->method, method);
-    EXPECT_EQ(e.xf.MaxAbsDiff(loaded->xf), 0.0);
-  }
-}
-
 TEST_F(NodeEmbeddingIoTest, LoadRejectsUnknownMaskBits) {
   // A future-format or corrupt presence mask must fail loudly instead of
   // silently misplacing payloads.
   const NodeEmbedding e = FeatureOnlyEmbedding(4, 3, 23);
-  ASSERT_TRUE(e.Save(path_).ok());
-  std::string bytes = ReadFileBytes(path_);
-  const size_t mask_offset = 8 + 4 + 4 + e.method.size() + 1 + 1;
-  bytes[mask_offset] = static_cast<char>(0x88);
-  {
-    std::ofstream out(path2_, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  EXPECT_TRUE(NodeEmbedding::Load(path2_).status().IsInvalidArgument());
+  MetaFields meta = FeatureOnlyMeta(e);
+  meta.mask = 0x88;
+  SaveWithMeta(e, meta, path2_);
+  const auto loaded = NodeEmbedding::Load(path2_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("presence"), std::string::npos)
+      << loaded.status();
 }
 
-TEST_F(NodeEmbeddingIoTest, LoadsHandWrittenVersion1Artifacts) {
-  // Backward compatibility: version 1 files (no header padding) written by
-  // the pre-serving format must still load.
-  const NodeEmbedding e = FeatureOnlyEmbedding(3, 2, 21);
-  std::string v1;
-  const auto append = [&v1](const void* p, size_t n) {
-    v1.append(reinterpret_cast<const char*>(p), n);
-  };
-  const uint64_t magic = 0x50414e454e454231ULL;
-  const uint32_t version = 1;
-  const uint32_t method_len = static_cast<uint32_t>(e.method.size());
-  append(&magic, 8);
-  append(&version, 4);
-  append(&method_len, 4);
-  v1 += e.method;
-  const int8_t link = 0, attr = 0;
-  const uint8_t mask = 0;
-  append(&link, 1);
-  append(&attr, 1);
-  append(&mask, 1);
-  const int64_t rows = e.features.rows(), cols = e.features.cols();
-  append(&rows, 8);
-  append(&cols, 8);
-  append(e.features.data(),
-         static_cast<size_t>(e.features.size()) * sizeof(double));
-  {
-    std::ofstream out(path_, std::ios::binary);
-    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+TEST_F(NodeEmbeddingIoTest, BothLoadersRejectUnknownConventionCodes) {
+  // NodeEmbedding::Load and the serving store share one convention check.
+  const NodeEmbedding e = FeatureOnlyEmbedding(4, 3, 25);
+  for (const auto& [link, attr] :
+       {std::pair<int8_t, int8_t>{4, 0}, {-1, 0}, {0, 3}, {0, -2}}) {
+    MetaFields meta = FeatureOnlyMeta(e);
+    meta.link = link;
+    meta.attr = attr;
+    SaveWithMeta(e, meta, path2_);
+    const std::string what = link != 0 ? "link" : "attribute";
+    const auto loaded = NodeEmbedding::Load(path2_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+    EXPECT_NE(loaded.status().message().find("bad " + what), std::string::npos)
+        << loaded.status();
+    const auto store = serve::EmbeddingStore::Open(path2_);
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().message(), loaded.status().message());
   }
-  const auto loaded = NodeEmbedding::Load(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->method, e.method);
-  EXPECT_EQ(e.features.MaxAbsDiff(loaded->features), 0.0);
-  // Re-saving writes version 2; the artifact must round-trip unchanged in
-  // content even though the bytes differ (new padding).
-  ASSERT_TRUE(loaded->Save(path2_).ok());
-  const auto resaved = NodeEmbedding::Load(path2_);
-  ASSERT_TRUE(resaved.ok()) << resaved.status();
-  EXPECT_EQ(e.features.MaxAbsDiff(resaved->features), 0.0);
-}
-
-TEST_F(NodeEmbeddingIoTest, ContainerRoundTripMatchesLegacyBitwise) {
-  const NodeEmbedding e = FactorEmbedding(15, 9, 4, 31);
-  ASSERT_TRUE(e.Save(path_).ok());
-  ASSERT_TRUE(e.SaveContainer(path2_).ok());
-  // Load dispatches on the magic: both layouts decode to the same artifact,
-  // matrix payloads bitwise equal.
-  const auto legacy = NodeEmbedding::Load(path_);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  const auto container = NodeEmbedding::Load(path2_);
-  ASSERT_TRUE(container.ok()) << container.status();
-  EXPECT_EQ(container->method, legacy->method);
-  EXPECT_EQ(container->link_convention, legacy->link_convention);
-  EXPECT_EQ(container->attribute_convention, legacy->attribute_convention);
-  EXPECT_EQ(legacy->features.MaxAbsDiff(container->features), 0.0);
-  EXPECT_EQ(legacy->xf.MaxAbsDiff(container->xf), 0.0);
-  EXPECT_EQ(legacy->xb.MaxAbsDiff(container->xb), 0.0);
-  EXPECT_EQ(legacy->y.MaxAbsDiff(container->y), 0.0);
-  // And the container write itself is deterministic.
-  const std::string again = path2_ + ".again";
-  ASSERT_TRUE(e.SaveContainer(again).ok());
-  EXPECT_EQ(ReadFileBytes(path2_), ReadFileBytes(again));
-  std::filesystem::remove(again);
 }
 
 TEST_F(NodeEmbeddingIoTest, ContainerLoadDetectsFlippedBytes) {

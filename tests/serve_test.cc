@@ -561,7 +561,7 @@ class EmbeddingStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = (std::filesystem::temp_directory_path() /
-             ("serve_store_" + std::to_string(::getpid()) + ".bin"))
+             ("serve_store_" + std::to_string(::getpid()) + ".ctn"))
                 .string();
     const auto& f = TrainedFixture::Get();
     artifact_.method = "pane";
@@ -574,7 +574,7 @@ class EmbeddingStoreTest : public ::testing::Test {
     artifact_.features.SetBlock(0, f.embedding.xf.cols(), f.embedding.xb);
     artifact_.link_convention = LinkConvention::kForwardBackward;
     artifact_.attribute_convention = AttributeConvention::kFactors;
-    PANE_CHECK_OK(artifact_.Save(path_));
+    PANE_CHECK_OK(artifact_.SaveContainer(path_));
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
@@ -592,10 +592,9 @@ void ExpectViewEqualsMatrix(ConstMatrixView view, const DenseMatrix& m) {
   }
 }
 
-TEST_F(EmbeddingStoreTest, OpensVersion2ZeroCopy) {
+TEST_F(EmbeddingStoreTest, OpensContainerArtifactZeroCopy) {
   auto store = serve::EmbeddingStore::Open(path_);
   ASSERT_TRUE(store.ok()) << store.status();
-  EXPECT_TRUE(store->zero_copy());
   EXPECT_EQ(store->method(), "pane");
   EXPECT_EQ(store->link_convention(), LinkConvention::kForwardBackward);
   EXPECT_TRUE(store->has_attribute_factors());
@@ -604,6 +603,13 @@ TEST_F(EmbeddingStoreTest, OpensVersion2ZeroCopy) {
   ExpectViewEqualsMatrix(store->xf(), artifact_.xf);
   ExpectViewEqualsMatrix(store->xb(), artifact_.xb);
   ExpectViewEqualsMatrix(store->y(), artifact_.y);
+  // Unverified open (the serving fast path that never faults pages it does
+  // not serve) must expose the same views.
+  serve::EmbeddingStoreOptions options;
+  options.verify_checksums = false;
+  auto unverified = serve::EmbeddingStore::Open(path_, options);
+  ASSERT_TRUE(unverified.ok()) << unverified.status();
+  ExpectViewEqualsMatrix(unverified->y(), artifact_.y);
 }
 
 TEST_F(EmbeddingStoreTest, StoreOutlivesUnlinkedFile) {
@@ -620,9 +626,9 @@ TEST_F(EmbeddingStoreTest, StoreOutlivesUnlinkedFile) {
 TEST_F(EmbeddingStoreTest, MappingIsReadOnly) {
   auto store = serve::EmbeddingStore::Open(path_);
   ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_TRUE(store->zero_copy());
   // Find the mapping containing the features view in /proc/self/maps and
-  // check its permissions are r-- (PROT_READ, no write).
+  // check its permissions are r-- (PROT_READ, no write): the views point
+  // into the file mapping, not into a heap copy.
   const uintptr_t addr =
       reinterpret_cast<uintptr_t>(store->features().data());
   std::ifstream maps("/proc/self/maps");
@@ -709,62 +715,8 @@ TEST_F(EmbeddingStoreTest, RejectsCorruptArtifacts) {
           .IsIOError());
 }
 
-// ---- Container-backed serving artifacts ---------------------------------
-
-TEST_F(EmbeddingStoreTest, OpensContainerArtifactZeroCopy) {
-  const std::string container_path = path_ + ".ctn";
-  ASSERT_TRUE(artifact_.SaveContainer(container_path).ok());
-  auto store = serve::EmbeddingStore::Open(container_path);
-  ASSERT_TRUE(store.ok()) << store.status();
-  EXPECT_TRUE(store->container_backed());
-  EXPECT_TRUE(store->zero_copy());
-  EXPECT_EQ(store->method(), "pane");
-  EXPECT_EQ(store->link_convention(), LinkConvention::kForwardBackward);
-  EXPECT_TRUE(store->has_attribute_factors());
-  EXPECT_GT(store->mapped_bytes(), 0);
-  ExpectViewEqualsMatrix(store->features(), artifact_.features);
-  ExpectViewEqualsMatrix(store->xf(), artifact_.xf);
-  ExpectViewEqualsMatrix(store->xb(), artifact_.xb);
-  ExpectViewEqualsMatrix(store->y(), artifact_.y);
-  // Unverified open (the serving fast path that never faults pages it does
-  // not serve) must expose the same views.
-  serve::EmbeddingStoreOptions options;
-  options.verify_checksums = false;
-  auto unverified = serve::EmbeddingStore::Open(container_path, options);
-  ASSERT_TRUE(unverified.ok()) << unverified.status();
-  EXPECT_TRUE(unverified->container_backed());
-  ExpectViewEqualsMatrix(unverified->y(), artifact_.y);
-  std::filesystem::remove(container_path);
-}
-
-TEST_F(EmbeddingStoreTest, ContainerEngineMatchesLegacyEngine) {
-  const std::string container_path = path_ + ".ctn";
-  ASSERT_TRUE(artifact_.SaveContainer(container_path).ok());
-  auto legacy = serve::EmbeddingStore::Open(path_);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  auto container = serve::EmbeddingStore::Open(container_path);
-  ASSERT_TRUE(container.ok()) << container.status();
-  auto legacy_engine = serve::QueryEngine::Create(*legacy, EngineOptions());
-  ASSERT_TRUE(legacy_engine.ok()) << legacy_engine.status();
-  auto container_engine =
-      serve::QueryEngine::Create(*container, EngineOptions());
-  ASSERT_TRUE(container_engine.ok()) << container_engine.status();
-  const auto& f = TrainedFixture::Get();
-  const auto queries = AllNodeQueries(25, 8);
-  const auto expected_attr = legacy_engine->TopKAttributes(queries, &f.graph);
-  const auto expected_link = legacy_engine->TopKTargets(queries, &f.graph);
-  const auto attr = container_engine->TopKAttributes(queries, &f.graph);
-  const auto link = container_engine->TopKTargets(queries, &f.graph);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectSameRanking(expected_attr[i], attr[i], "container attr");
-    ExpectSameRanking(expected_link[i], link[i], "container link");
-  }
-  std::filesystem::remove(container_path);
-}
-
 TEST_F(EmbeddingStoreTest, ContainerOpenDetectsFlippedByte) {
-  const std::string container_path = path_ + ".ctn";
-  ASSERT_TRUE(artifact_.SaveContainer(container_path).ok());
+  const std::string& container_path = path_;
   std::ifstream in(container_path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
@@ -777,7 +729,6 @@ TEST_F(EmbeddingStoreTest, ContainerOpenDetectsFlippedByte) {
   ASSERT_FALSE(store.ok());
   EXPECT_NE(store.status().message().find("checksum"), std::string::npos)
       << store.status();
-  std::filesystem::remove(container_path);
 }
 
 TEST(IvfIndexTest, SaveLoadRoundTripSearchesIdentical) {

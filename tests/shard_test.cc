@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -28,6 +29,7 @@
 #include "src/serve/router.h"
 #include "src/serve/server.h"
 #include "src/serve/shard_plan.h"
+#include "src/store/shard_pages.h"
 #include "test_util.h"
 
 namespace pane {
@@ -183,9 +185,9 @@ struct ShardFixture {
       artifact.attribute_convention = AttributeConvention::kFactors;
       f->artifact_path = (std::filesystem::temp_directory_path() /
                           ("shard_artifact_" + std::to_string(::getpid()) +
-                           ".bin"))
+                           ".ctn"))
                              .string();
-      PANE_CHECK_OK(artifact.Save(f->artifact_path));
+      PANE_CHECK_OK(artifact.SaveContainer(f->artifact_path));
       return f;
     }();
     return *fixture;
@@ -260,6 +262,31 @@ TEST(ShardSplitTest, RefusesToResplitAShardContainer) {
   EXPECT_FALSE(
       serve::SplitEmbeddingArtifact(paths[0], prefix + ".again", 2, nullptr)
           .ok());
+  for (const std::string& path : paths) std::filesystem::remove(path);
+}
+
+TEST(ShardSplitTest, RejectsShardMetaWhoseShapeOverflows) {
+  // A shard.meta claiming 2^62 nodes (node range still inside it) must be
+  // refused on the payload-size check without overflowing rows * dim * 8.
+  const ShardFixture& f = ShardFixture::Get();
+  const std::string prefix = (std::filesystem::temp_directory_path() /
+                              ("shard_overflow_" + std::to_string(::getpid())))
+                                 .string();
+  std::vector<std::string> paths;
+  ASSERT_TRUE(
+      serve::SplitEmbeddingArtifact(f.artifact_path, prefix, 2, &paths).ok());
+  // num_nodes is the third i64 after the u32 version and 4 flag bytes.
+  constexpr size_t kNumNodesOffset = 4 + 4 + 2 * 8;
+  testing::RewriteContainerStream(
+      paths[0], store::kShardMetaStream, [](std::string* bytes) {
+        const int64_t huge = int64_t{1} << 62;
+        std::memcpy(bytes->data() + kNumNodesOffset, &huge, sizeof(huge));
+      });
+  const auto store = serve::EmbeddingStore::Open(paths[0]);
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsIOError()) << store.status();
+  EXPECT_NE(store.status().message().find("shard.xf"), std::string::npos)
+      << store.status();
   for (const std::string& path : paths) std::filesystem::remove(path);
 }
 

@@ -1,7 +1,8 @@
 // Tests for the artifact container stack: CRC32C, crash-safe file commit,
-// container round trips, and the corruption sweeps (every flipped byte and
+// container round trips, the corruption sweeps (every flipped byte and
 // every truncation point must surface as a Status, with data-page damage
-// reported as a checksum mismatch).
+// reported as a checksum mismatch), and the container being the only
+// binary format any loader accepts.
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -11,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/api/node_embedding.h"
 #include "src/common/atomic_file.h"
+#include "src/graph/graph_io.h"
+#include "src/serve/embedding_store.h"
 #include "src/store/container.h"
 #include "src/store/crc32c.h"
 #include "src/store/page.h"
@@ -322,6 +326,73 @@ TEST(ContainerTest, RejectsBadPageSizeEvenWithValidCrc) {
   ResignSuperblock(&bytes, 4096);
   WriteFileBytes(path, bytes);
   EXPECT_FALSE(Container::Open(path).ok());
+  std::filesystem::remove(path);
+}
+
+TEST(ContainerTest, RejectsLyingStreamLengthEvenWithValidCrc) {
+  // A directory entry claiming 2^60 payload bytes must fail the extent
+  // check at Open, before anything is sized by it.
+  const std::string path = TempPath("pane_container_length.ctn");
+  Fixture fix;
+  ASSERT_TRUE(fix.WriteTo(path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const size_t factors_entry = sizeof(SuperblockHeader) + 3 * sizeof(StreamEntry);
+  ASSERT_STREQ(bytes.data() + factors_entry, "fix.factors");
+  const uint64_t huge = uint64_t{1} << 60;
+  std::memcpy(bytes.data() + factors_entry +
+                  offsetof(StreamEntry, payload_bytes),
+              &huge, sizeof(huge));
+  ResignSuperblock(&bytes, 4096);
+  WriteFileBytes(path, bytes);
+  const auto opened = Container::Open(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsIOError()) << opened.status();
+  EXPECT_NE(opened.status().message().find("payload size"), std::string::npos)
+      << opened.status();
+  std::filesystem::remove(path);
+}
+
+TEST(ContainerTest, NonContainerIsInvalidArgumentAndCutContainerIsIOError) {
+  const std::string path = TempPath("pane_container_kind.ctn");
+  WriteFileBytes(path, "definitely not a container");
+  EXPECT_TRUE(Container::Open(path).status().IsInvalidArgument());
+  WriteFileBytes(path, "");
+  EXPECT_TRUE(Container::Open(path).status().IsInvalidArgument());
+  Fixture fix;
+  ASSERT_TRUE(fix.WriteTo(path).ok());
+  WriteFileBytes(path, ReadFileBytes(path).substr(0, 20));
+  EXPECT_TRUE(Container::Open(path).status().IsIOError());
+  std::filesystem::remove(path);
+}
+
+TEST(RetiredFormatsTest, LegacyMagicFailsEveryLoader) {
+  // The retired embedding layouts (PANENEB1 v1/v2, PaneEmbedding's
+  // PANEEMB1) and graph snapshot (PANEGR01) have no reader left: a file
+  // starting with their magic is refused with a Status by every loader.
+  const std::string path = TempPath("pane_retired_format.bin");
+  for (const std::string magic : {"PANENEB1", "PANEEMB1", "PANEGR01"}) {
+    // The magic alone, and the magic followed by a plausible legacy header
+    // (version 2, a method name, padding) and a page of payload.
+    std::string header = magic;
+    const uint32_t version = 2, method_len = 4;
+    header.append(reinterpret_cast<const char*>(&version), 4);
+    header.append(reinterpret_cast<const char*>(&method_len), 4);
+    header += "pane";
+    header.append(4096, '\0');
+    for (const std::string& bytes : {magic, header}) {
+      WriteFileBytes(path, bytes);
+      const std::string what = magic + " (" + std::to_string(bytes.size()) +
+                               " bytes)";
+      const auto embedding = NodeEmbedding::Load(path);
+      EXPECT_TRUE(embedding.status().IsInvalidArgument())
+          << what << ": " << embedding.status();
+      const auto store = serve::EmbeddingStore::Open(path);
+      EXPECT_TRUE(store.status().IsInvalidArgument())
+          << what << ": " << store.status();
+      const auto graph = LoadGraphAuto(path);
+      EXPECT_FALSE(graph.ok()) << what;
+    }
+  }
   std::filesystem::remove(path);
 }
 

@@ -1,9 +1,17 @@
 // Shared fixtures for the algorithm tests: the paper's Figure 1 running
-// example and small SBM instances.
+// example and small SBM instances; and a container stream rewriter for the
+// loaders' rejection tests.
 #pragma once
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/logging.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/store/container.h"
 
 namespace pane {
 namespace testing {
@@ -43,6 +51,47 @@ inline AttributedGraph SmallSbm(uint64_t seed = 12, int64_t n = 400,
   params.undirected = undirected;
   params.seed = seed;
   return GenerateAttributedSbm(params);
+}
+
+/// Rewrites the store:: container at `path` with `edit` applied to the
+/// payload of stream `name`. Every page is laid out and checksummed afresh,
+/// so a loader that rejects the result did so on the edited content, not on
+/// a CRC mismatch.
+inline void RewriteContainerStream(
+    const std::string& path, const std::string& name,
+    const std::function<void(std::string*)>& edit) {
+  std::vector<std::pair<std::string, std::string>> payloads;
+  std::vector<store::PageType> types;
+  {
+    const store::Container container =
+        store::Container::Open(path).ValueOrDie();
+    for (const store::StreamEntry& entry : container.streams()) {
+      const std::string stream(entry.name);
+      const store::Container::StreamView view =
+          container.Read(stream).ValueOrDie();
+      payloads.emplace_back(
+          stream, view.bytes > 0
+                      ? std::string(view.data, static_cast<size_t>(view.bytes))
+                      : std::string());
+      types.push_back(view.type);
+    }
+  }
+  bool found = false;
+  for (auto& [stream, bytes] : payloads) {
+    if (stream == name) {
+      edit(&bytes);
+      found = true;
+    }
+  }
+  PANE_CHECK(found) << "no stream '" << name << "' in " << path;
+  // The writer keeps pointers, so register only once every payload is final.
+  store::ContainerWriter writer;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    PANE_CHECK_OK(writer.AddStream(
+        payloads[i].first, types[i], payloads[i].second.data(),
+        static_cast<int64_t>(payloads[i].second.size())));
+  }
+  PANE_CHECK_OK(writer.WriteTo(path));
 }
 
 }  // namespace testing
