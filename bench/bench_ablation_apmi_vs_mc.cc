@@ -10,7 +10,7 @@
 
 #include "bench_common.h"
 #include "src/common/timer.h"
-#include "src/core/apmi.h"
+#include "src/core/affinity.h"
 #include "src/datasets/registry.h"
 #include "src/graph/random_walk.h"
 

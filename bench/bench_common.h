@@ -63,8 +63,7 @@ PaneRun TrainPaneOrDie(const AttributedGraph& graph, int k, int num_threads,
                        double alpha = 0.5, double epsilon = 0.015,
                        bool greedy_init = true, int ccd_iterations = 0,
                        int64_t memory_budget_mb = 0,
-                       SlabPolicy slab_policy = SlabPolicy::kAuto,
-                       SpillMode spill_mode = SpillMode::kPooled);
+                       SlabPolicy slab_policy = SlabPolicy::kAuto);
 
 }  // namespace bench
 }  // namespace pane

@@ -26,7 +26,7 @@
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
 #include "src/common/timer.h"
-#include "src/core/apmi.h"
+#include "src/core/affinity_engine.h"
 #include "src/datasets/registry.h"
 #include "src/parallel/thread_pool.h"
 
@@ -52,14 +52,11 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
     const char* name;
     int64_t budget_mb;
     SlabPolicy policy;
-    SpillMode spill_mode;
   };
   const Config configs[] = {
-      {"pooled spill @budget", budget_mb, SlabPolicy::kMmap,
-       SpillMode::kPooled},
-      {"flat spill @budget", budget_mb, SlabPolicy::kMmap, SpillMode::kFlat},
-      {"in-RAM @budget", budget_mb, SlabPolicy::kInRam, SpillMode::kPooled},
-      {"unbounded", 0, SlabPolicy::kInRam, SpillMode::kPooled},
+      {"pooled spill @budget", budget_mb, SlabPolicy::kMmap},
+      {"in-RAM @budget", budget_mb, SlabPolicy::kInRam},
+      {"unbounded", 0, SlabPolicy::kInRam},
   };
   bench::PrintRow("config", {"width", "panels", "scratch", "slabs",
                              "overlap", "peak RSS", "dRSS", "time"});
@@ -68,8 +65,7 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
     const auto run = bench::TrainPaneOrDie(g, /*k=*/64, /*num_threads=*/10,
                                            0.5, 0.015, /*greedy_init=*/true,
                                            /*ccd_iterations=*/0,
-                                           config.budget_mb, config.policy,
-                                           config.spill_mode);
+                                           config.budget_mb, config.policy);
     const int64_t rss_after = bench::PeakRssBytes();
     bench::PrintRow(
         config.name,
@@ -80,8 +76,7 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
          bench::MegabyteCell(
              static_cast<double>(run.stats.affinity.scratch_bytes +
                                  run.stats.ccd.scratch_bytes)),
-         !run.stats.slabs_spilled ? "RAM"
-                                  : (run.stats.pooled_spill ? "pool" : "mmap"),
+         run.stats.slabs_spilled ? "pool" : "RAM",
          StrFormat("%d", run.stats.init_blocks_overlapped),
          bench::MegabyteCell(static_cast<double>(rss_after)),
          rss_before < 0 || rss_after < 0
@@ -152,9 +147,15 @@ void RunMemoryBudgetSection(double scale) {
     // report a 0 delta.
     const int64_t rss_before = bench::PeakRssBytes();
     WallTimer timer;
+    AffinityEngineOptions options;
+    options.alpha = 0.5;
+    options.t = t;
+    options.pool = &pool;
+    options.memory_budget_mb = budget;
     AffinityEngineStats stats;
-    const auto affinity = ComputeAffinity(g, 0.5, 0.015, &pool, budget, &stats);
-    PANE_CHECK(affinity.ok()) << affinity.status();
+    AffinitySlabs affinity;
+    PANE_CHECK_OK(
+        ComputeGraphAffinityIntoSlabs(g, options, &affinity, &stats));
     const double seconds = timer.ElapsedSeconds();
     const int64_t rss_after = bench::PeakRssBytes();
     const double cells = 2.0 * n * d * (t + 1);

@@ -11,7 +11,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/random.h"
-#include "src/core/apmi.h"
+#include "src/core/affinity_engine.h"
 #include "src/core/ccd.h"
 #include "src/core/greedy_init.h"
 #include "src/graph/generators.h"
@@ -35,6 +35,23 @@ AttributedGraph BenchGraph(int64_t n) {
   params.num_communities = 8;
   params.seed = 77;
   return GenerateAttributedSbm(params);
+}
+
+// (F', B') at the paper defaults, serial and in RAM.
+AffinitySlabs BenchAffinity(const AttributedGraph& g) {
+  AffinityEngineOptions options;
+  options.t = ComputeIterationCount(0.015, options.alpha);
+  AffinitySlabs affinity;
+  PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity));
+  return affinity;
+}
+
+// Serial GreedyInit at k = 64, t = 6.
+InitOptions BenchInitOptions() {
+  InitOptions options;
+  options.k = 64;
+  options.t = 6;
+  return options;
 }
 
 void BM_SpMM(benchmark::State& state) {
@@ -181,24 +198,22 @@ void BM_ApmiIterationCost(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(state.range(0));
   const CsrMatrix p = g.RandomWalkMatrix();
   const CsrMatrix pt = p.Transposed();
-  ApmiInputs inputs;
-  inputs.p = &p;
-  inputs.p_transposed = &pt;
-  inputs.r = &g.attributes();
-  inputs.alpha = 0.5;
-  inputs.t = 6;
+  AffinityEngineOptions options;
+  options.alpha = 0.5;
+  options.t = 6;
   for (auto _ : state) {
-    auto result = Apmi(inputs);
-    benchmark::DoNotOptimize(result.ok());
+    AffinitySlabs affinity;
+    const Status status =
+        ComputeAffinityIntoSlabs(p, pt, g.attributes(), options, &affinity);
+    benchmark::DoNotOptimize(status.ok());
   }
 }
 BENCHMARK(BM_ApmiIterationCost)->Arg(2000)->Arg(8000);
 
 void BM_CcdSweep(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(state.range(0));
-  const AffinityMatrices affinity =
-      ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
-  const auto seed_state = GreedyInit(affinity, 64, 6).ValueOrDie();
+  const AffinitySlabs affinity = BenchAffinity(g);
+  const auto seed_state = GreedyInit(affinity, BenchInitOptions()).ValueOrDie();
   for (auto _ : state) {
     EmbeddingState working = seed_state;
     CcdOptions options;
@@ -213,9 +228,8 @@ BENCHMARK(BM_CcdSweep)->Arg(2000)->Arg(4000);
 // design avoids the full n x d GEMM per coordinate pass.
 void BM_ResidualIncremental(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(2000);
-  const AffinityMatrices affinity =
-      ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
-  auto working = GreedyInit(affinity, 64, 6).ValueOrDie();
+  const AffinitySlabs affinity = BenchAffinity(g);
+  auto working = GreedyInit(affinity, BenchInitOptions()).ValueOrDie();
   CcdOptions options;
   options.iterations = 1;
   for (auto _ : state) {
@@ -226,15 +240,16 @@ BENCHMARK(BM_ResidualIncremental);
 
 void BM_ResidualRecompute(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(2000);
-  const AffinityMatrices affinity =
-      ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
-  const auto seed_state = GreedyInit(affinity, 64, 6).ValueOrDie();
+  const AffinitySlabs affinity = BenchAffinity(g);
+  const auto seed_state = GreedyInit(affinity, BenchInitOptions()).ValueOrDie();
+  const DenseMatrix forward = affinity.forward.ToDense().ValueOrDie();
+  const DenseMatrix backward = affinity.backward.ToDense().ValueOrDie();
   DenseMatrix sf, sb;
   for (auto _ : state) {
-    GemmTransBAddScaled(seed_state.xf, seed_state.y, 1.0, affinity.forward,
-                        -1.0, &sf);
-    GemmTransBAddScaled(seed_state.xb, seed_state.y, 1.0, affinity.backward,
-                        -1.0, &sb);
+    GemmTransBAddScaled(seed_state.xf, seed_state.y, 1.0, forward, -1.0,
+                        &sf);
+    GemmTransBAddScaled(seed_state.xb, seed_state.y, 1.0, backward, -1.0,
+                        &sb);
     benchmark::DoNotOptimize(sf.data());
   }
 }

@@ -70,14 +70,8 @@ int main(int argc, char** argv) {
                "CCD strips, and mmap-spill of the n x d factors when they "
                "exceed it (0 = unbounded; see README \"Memory model & "
                "tuning\")");
-  flags.AddInt("affinity-memory-mb", 0,
-               "DEPRECATED alias for --memory-budget-mb");
   flags.AddString("spill-dir", "",
                   "directory for factor spill files (default: temp dir)");
-  flags.AddString("spill-mode", "pooled",
-                  "spill flavor once over budget (PANE): 'pooled' evicts "
-                  "page-granular through the shared buffer pool, 'flat' "
-                  "drops whole panels (the pre-pool path)");
   flags.AddBool("verbose", false,
                 "log the engine decomposition (panel width/panels/scratch, "
                 "slab backing, CCD strips) after training");

@@ -5,6 +5,7 @@
 // evaluates that method under.
 #include "src/api/embedders.h"
 
+#include <string>
 #include <utility>
 
 #include "src/baselines/bane.h"
@@ -95,25 +96,20 @@ Result<std::unique_ptr<Embedder>> MakePane(const EmbedderConfig& config,
   PANE_ASSIGN_OR_RETURN(options.greedy_init,
                         config.GetBool("greedy_init", true));
   // --memory-budget-mb arrives as this key: FromFlags normalizes dashed
-  // flag names to the underscore spelling. --affinity-memory-mb is the
-  // deprecated alias; Pane::Train falls back to it when the new key is 0.
+  // flag names to the underscore spelling. The keys it replaced are refused
+  // rather than ignored, so an old config cannot train unbounded by
+  // accident.
+  for (const char* retired : {"affinity_memory_mb", "spill_mode"}) {
+    if (config.Has(retired)) {
+      return Status::InvalidArgument(
+          std::string("config key '") + retired +
+          "' was removed; set memory_budget_mb (spilling always goes "
+          "through the buffer pool)");
+    }
+  }
   PANE_ASSIGN_OR_RETURN(options.memory_budget_mb,
                         config.GetInt("memory_budget_mb", 0));
-  PANE_ASSIGN_OR_RETURN(options.affinity_memory_mb,
-                        config.GetInt("affinity_memory_mb", 0));
   options.spill_dir = config.GetString("spill_dir", "");
-  // Spill flavor once the budget forces out-of-core factors: "pooled"
-  // (page-granular eviction through the shared BufferPool, the default) or
-  // "flat" (the whole-panel MADV_DONTNEED path).
-  const std::string spill_mode = config.GetString("spill_mode", "pooled");
-  if (spill_mode == "pooled") {
-    options.spill_mode = SpillMode::kPooled;
-  } else if (spill_mode == "flat") {
-    options.spill_mode = SpillMode::kFlat;
-  } else {
-    return Status::InvalidArgument(
-        "spill_mode must be 'pooled' or 'flat', got '" + spill_mode + "'");
-  }
   PANE_ASSIGN_OR_RETURN(const bool verbose,
                         config.GetBool("verbose", false));
   PANE_ASSIGN_OR_RETURN(const int64_t seed, config.GetInt("seed", 42));

@@ -35,8 +35,8 @@ class WallTimer {
 /// \brief Accumulates the elapsed time of a scope into a double (seconds).
 ///
 /// Usage:
-///   double apmi_seconds = 0;
-///   { ScopedTimer t(&apmi_seconds); RunApmi(); }
+///   double affinity_seconds = 0;
+///   { ScopedTimer t(&affinity_seconds); RunAffinity(); }
 class ScopedTimer {
  public:
   explicit ScopedTimer(double* sink) : sink_(sink) {}

@@ -1,10 +1,48 @@
 #include "src/core/affinity.h"
 
 #include <cmath>
+#include <utility>
 
 #include "src/common/logging.h"
+#include "src/matrix/spmm.h"
 
 namespace pane {
+namespace {
+
+Status ValidateApmiInputs(const ApmiInputs& in) {
+  if (in.p == nullptr || in.p_transposed == nullptr || in.r == nullptr) {
+    return Status::InvalidArgument("APMI inputs must be non-null");
+  }
+  if (in.p->rows() != in.p->cols()) {
+    return Status::InvalidArgument("P must be square");
+  }
+  if (in.p->rows() != in.r->rows()) {
+    return Status::InvalidArgument("P and R row counts differ");
+  }
+  if (in.alpha <= 0.0 || in.alpha >= 1.0) {
+    return Status::InvalidArgument("alpha must be in (0, 1)");
+  }
+  if (in.t < 1) return Status::InvalidArgument("t must be >= 1");
+  return Status::OK();
+}
+
+// acc = alpha * sum_{l=0..t} (1-alpha)^l M^l R0 with dense term / next /
+// acc intermediates — the memory shape the panel-streamed engine exists to
+// avoid.
+void TruncatedSeries(const CsrMatrix& m, const CsrMatrix& r0, double alpha,
+                     int t, DenseMatrix* acc) {
+  DenseMatrix term = r0.ToDense();
+  acc->Resize(term.rows(), term.cols());
+  acc->Axpy(alpha, term);
+  DenseMatrix next;
+  for (int l = 1; l <= t; ++l) {
+    SpMMAddScaled(m, term, 1.0 - alpha, term, 0.0, &next);
+    std::swap(term, next);
+    acc->Axpy(alpha, term);
+  }
+}
+
+}  // namespace
 
 int ComputeIterationCount(double epsilon, double alpha) {
   PANE_CHECK(epsilon > 0.0 && epsilon < 1.0) << "epsilon must be in (0, 1)";
@@ -12,6 +50,16 @@ int ComputeIterationCount(double epsilon, double alpha) {
   const double t = std::log(epsilon) / std::log(1.0 - alpha) - 1.0;
   const int rounded = static_cast<int>(std::ceil(t - 1e-9));
   return rounded < 1 ? 1 : rounded;
+}
+
+Result<ProbabilityMatrices> ApmiProbabilities(const ApmiInputs& inputs) {
+  PANE_RETURN_NOT_OK(ValidateApmiInputs(inputs));
+  const CsrMatrix rr = inputs.r->RowNormalized();
+  const CsrMatrix rc = inputs.r->ColNormalized();
+  ProbabilityMatrices probs;
+  TruncatedSeries(*inputs.p, rr, inputs.alpha, inputs.t, &probs.pf);
+  TruncatedSeries(*inputs.p_transposed, rc, inputs.alpha, inputs.t, &probs.pb);
+  return probs;
 }
 
 AffinityMatrices SpmiFromProbabilities(const ProbabilityMatrices& probs) {

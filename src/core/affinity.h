@@ -1,12 +1,15 @@
 // Forward / backward node-attribute affinity (Section 2.2) shared
-// definitions, plus the exact dense reference implementation that tests and
-// the Table 2 running-example bench validate APMI against.
+// definitions, plus the two dense references the panel-streamed engine
+// (src/core/affinity_engine.h) is validated against: the exact power series
+// (tests, the Table 2 running example) and APMI's unfused truncated series
+// (Algorithm 2 up to line 5, the Lemma 3.1 oracle).
 #pragma once
 
 #include <cstdint>
 
 #include "src/common/status.h"
 #include "src/graph/graph.h"
+#include "src/matrix/csr_matrix.h"
 #include "src/matrix/dense_matrix.h"
 #include "src/matrix/factor_slab.h"
 
@@ -19,9 +22,9 @@ struct AffinityMatrices {
 };
 
 /// \brief The pair (F', B') as FactorSlabs — the pipeline's native shape.
-/// Under the in-RAM backing this is AffinityMatrices with a different coat;
-/// under the mmap backing the factors live in spill files and consumers
-/// stream row blocks. See src/matrix/factor_slab.h.
+/// Under the in-RAM backing the factors are dense matrices; under a spill
+/// backing they live in spill files and consumers stream row blocks. See
+/// src/matrix/factor_slab.h.
 struct AffinitySlabs {
   FactorSlab forward;
   FactorSlab backward;
@@ -36,6 +39,24 @@ struct ProbabilityMatrices {
   DenseMatrix pf;  // n x d, P_f^(t)
   DenseMatrix pb;  // n x d, P_b^(t)
 };
+
+struct ApmiInputs {
+  /// Random-walk matrix P = D^-1 A (n x n, row-stochastic).
+  const CsrMatrix* p = nullptr;
+  /// P^T, prebuilt (backward iterations).
+  const CsrMatrix* p_transposed = nullptr;
+  /// Attribute matrix R (n x d).
+  const CsrMatrix* r = nullptr;
+  double alpha = 0.5;
+  int t = 5;
+};
+
+/// \brief APMI's truncated probability matrices before the SPMI transform
+/// (Algorithm 2 up to line 5), evaluated with dense term / next / sum
+/// intermediates. This unfused path shares no panel logic with the engine,
+/// so it is the engine's bitwise oracle (with SpmiFromProbabilities) and
+/// the subject of the Lemma 3.1 tests.
+Result<ProbabilityMatrices> ApmiProbabilities(const ApmiInputs& inputs);
 
 /// \brief Turns probability matrices into SPMI affinity (Equations 2-3 /
 /// lines 6-8 of Algorithm 2): column-normalize pf and row-normalize pb,

@@ -355,49 +355,15 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
   return Status::OK();
 }
 
-Result<AffinitySlabs> ComputeAffinitySlabs(const CsrMatrix& p,
-                                           const CsrMatrix& p_transposed,
-                                           const CsrMatrix& r,
-                                           const AffinityEngineOptions& options,
-                                           AffinityEngineStats* stats) {
-  AffinitySlabs out;
-  PANE_RETURN_NOT_OK(
-      ComputeAffinityIntoSlabs(p, p_transposed, r, options, &out, stats));
-  return out;
-}
-
-Result<AffinityMatrices> ComputeAffinityPanels(
-    const CsrMatrix& p, const CsrMatrix& p_transposed, const CsrMatrix& r,
-    const AffinityEngineOptions& options, AffinityEngineStats* stats) {
-  AffinityEngineOptions in_ram = options;
-  in_ram.backing = FactorSlab::Backing::kInRam;
-  PANE_ASSIGN_OR_RETURN(
-      AffinitySlabs slabs,
-      ComputeAffinitySlabs(p, p_transposed, r, in_ram, stats));
-  AffinityMatrices out;
-  out.forward = slabs.forward.TakeDense();
-  out.backward = slabs.backward.TakeDense();
-  return out;
-}
-
 Status ComputeGraphAffinityIntoSlabs(const AttributedGraph& graph,
                                      const AffinityEngineOptions& options,
                                      AffinitySlabs* out,
                                      AffinityEngineStats* stats) {
-  // The one place P and P^T are constructed per embedding run; every caller
-  // that used to build its own transposed copy now funnels through here.
+  // The one place P and P^T are constructed per embedding run.
   const CsrMatrix p = graph.RandomWalkMatrix();
   const CsrMatrix pt = p.Transposed();
   return ComputeAffinityIntoSlabs(p, pt, graph.attributes(), options, out,
                                   stats);
-}
-
-Result<AffinityMatrices> ComputeGraphAffinity(const AttributedGraph& graph,
-                                              const AffinityEngineOptions& options,
-                                              AffinityEngineStats* stats) {
-  const CsrMatrix p = graph.RandomWalkMatrix();
-  const CsrMatrix pt = p.Transposed();
-  return ComputeAffinityPanels(p, pt, graph.attributes(), options, stats);
 }
 
 }  // namespace pane

@@ -1,4 +1,4 @@
-// Panel-streamed affinity engine: the unified production path behind APMI
+// Panel-streamed affinity engine: the one production path for APMI
 // (Algorithm 2) and PAPMI (Algorithm 6). The attribute matrix R is
 // partitioned into column panels; for each panel the truncated series of
 // Equation (6) is evaluated with the fused SpMMPanelStep kernel — the
@@ -9,21 +9,20 @@
 // row-parallel pass over the backward slab once all panels have landed (row
 // sums span every panel).
 //
-// The outputs are FactorSlabs (src/matrix/factor_slab.h): in-RAM for the
-// historical shape, or memory-mapped spill files when the caller's memory
-// budget cannot hold the factors — panels then run sequentially and each
-// finished panel's pages are dropped from the resident set, so peak RSS
-// tracks the scratch budget rather than 2 n d. A consumer callback fires as
-// panels land; the engine-aware greedy init uses the forward-complete event
-// to start RandSVD-ing F' row blocks while the backward panels are still
-// streaming.
+// The outputs are FactorSlabs (src/matrix/factor_slab.h): in RAM, or spill
+// files when the caller's memory budget cannot hold the factors — panels
+// then run sequentially and each finished panel's pages are dropped from
+// the resident set, so peak RSS tracks the scratch budget rather than
+// 2 n d. A consumer callback fires as panels land; the engine-aware greedy
+// init uses the forward-complete event to start RandSVD-ing F' row blocks
+// while the backward panels are still streaming.
 //
 // Peak scratch is O(n x panel_width x in-flight panels), derived from the
 // caller-supplied memory budget. Column blocks of a sparse-dense product
 // are independent (Lemma 4.1), and the engine preserves per-element
-// summation order, so its output is bitwise identical to the historical
-// serial APMI path for every panel decomposition, thread count, and slab
-// backing.
+// summation order, so its output is bitwise identical to the unfused
+// ApmiProbabilities + SpmiFromProbabilities reference (src/core/affinity.h)
+// for every panel decomposition, thread count, and slab backing.
 #pragma once
 
 #include <cstdint>
@@ -71,8 +70,8 @@ struct AffinityEngineOptions {
   /// Explicit panel-width override (tests, benches). 0 => derive from the
   /// budget. Values > d are clamped to d.
   int64_t panel_width = 0;
-  /// Backing for slabs the engine creates itself (the Result-returning
-  /// entry points). ComputeAffinityIntoSlabs honors the caller's slabs.
+  /// Backing for output slabs the caller passes empty; pre-created slabs
+  /// keep their own backing.
   FactorSlab::Backing backing = FactorSlab::Backing::kInRam;
   /// Spill-file directory for engine-created mmap slabs ("" => temp dir).
   std::string spill_dir;
@@ -101,28 +100,14 @@ struct AffinityEngineStats {
 /// matrix R, writing into caller-owned slabs. The slabs must either be
 /// empty (they are created with options.backing) or already shaped n x d —
 /// pre-creating them is what lets a consumer callback observe them while
-/// the run is in flight. Bitwise equal to Apmi() on the same inputs.
+/// the run is in flight. Bitwise equal to SpmiFromProbabilities(
+/// ApmiProbabilities(...)) on the same inputs.
 Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
                                 const CsrMatrix& p_transposed,
                                 const CsrMatrix& r,
                                 const AffinityEngineOptions& options,
                                 AffinitySlabs* out,
                                 AffinityEngineStats* stats = nullptr);
-
-/// \brief Slab-returning convenience over ComputeAffinityIntoSlabs.
-Result<AffinitySlabs> ComputeAffinitySlabs(const CsrMatrix& p,
-                                           const CsrMatrix& p_transposed,
-                                           const CsrMatrix& r,
-                                           const AffinityEngineOptions& options,
-                                           AffinityEngineStats* stats = nullptr);
-
-/// \brief Legacy dense-output form: runs the engine into in-RAM slabs and
-/// moves them out as (F', B') DenseMatrices; bitwise equal to Apmi() on the
-/// same inputs.
-Result<AffinityMatrices> ComputeAffinityPanels(
-    const CsrMatrix& p, const CsrMatrix& p_transposed, const CsrMatrix& r,
-    const AffinityEngineOptions& options,
-    AffinityEngineStats* stats = nullptr);
 
 /// \brief Graph-level entry: builds P and P^T exactly once (the single
 /// construction point per embedding run) and runs the engine into
@@ -131,10 +116,5 @@ Status ComputeGraphAffinityIntoSlabs(const AttributedGraph& graph,
                                      const AffinityEngineOptions& options,
                                      AffinitySlabs* out,
                                      AffinityEngineStats* stats = nullptr);
-
-/// \brief Graph-level dense form (legacy surface).
-Result<AffinityMatrices> ComputeGraphAffinity(
-    const AttributedGraph& graph, const AffinityEngineOptions& options,
-    AffinityEngineStats* stats = nullptr);
 
 }  // namespace pane

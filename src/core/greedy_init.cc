@@ -83,13 +83,6 @@ Result<FactorSlab> CreateResidualSlab(int64_t rows, int64_t cols,
                             options.spill_dir, options.buffer_pool);
 }
 
-AffinitySlabs WrapDense(const AffinityMatrices& affinity) {
-  AffinitySlabs slabs;
-  slabs.forward = FactorSlab(affinity.forward);
-  slabs.backward = FactorSlab(affinity.backward);
-  return slabs;
-}
-
 }  // namespace
 
 Status BuildResidualSlab(const DenseMatrix& x, const DenseMatrix& y,
@@ -343,34 +336,6 @@ double Objective(const EmbeddingState& state) {
   const double sf_norm = state.sf.FrobeniusNorm();
   const double sb_norm = state.sb.FrobeniusNorm();
   return sf_norm * sf_norm + sb_norm * sb_norm;
-}
-
-Result<EmbeddingState> GreedyInit(const AffinityMatrices& affinity, int k,
-                                  int t, uint64_t seed) {
-  InitOptions options;
-  options.k = k;
-  options.t = t;
-  options.seed = seed;
-  return GreedyInit(WrapDense(affinity), options);
-}
-
-Result<EmbeddingState> SmGreedyInit(const AffinityMatrices& affinity, int k,
-                                    int t, ThreadPool* pool, uint64_t seed) {
-  InitOptions options;
-  options.k = k;
-  options.t = t;
-  options.seed = seed;
-  options.pool = pool;
-  return SmGreedyInit(WrapDense(affinity), options);
-}
-
-Result<EmbeddingState> RandomInit(const AffinityMatrices& affinity, int k,
-                                  uint64_t seed, ThreadPool* pool) {
-  InitOptions options;
-  options.k = k;
-  options.seed = seed;
-  options.pool = pool;
-  return RandomInit(WrapDense(affinity), options);
 }
 
 }  // namespace pane

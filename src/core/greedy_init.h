@@ -153,18 +153,4 @@ Status BuildResidualSlab(const DenseMatrix& x, const DenseMatrix& y,
 /// ||Sf||_F^2 + ||Sb||_F^2.
 double Objective(const EmbeddingState& state);
 
-/// \name Legacy dense-affinity adapters (tests / benches): wrap the
-/// matrices into in-RAM slabs and delegate. Each call copies both n x d
-/// matrices — fine for test-scale setup code, but production paths should
-/// hold AffinitySlabs and call the slab forms above.
-/// @{
-Result<EmbeddingState> GreedyInit(const AffinityMatrices& affinity, int k,
-                                  int t, uint64_t seed = 42);
-Result<EmbeddingState> SmGreedyInit(const AffinityMatrices& affinity, int k,
-                                    int t, ThreadPool* pool,
-                                    uint64_t seed = 42);
-Result<EmbeddingState> RandomInit(const AffinityMatrices& affinity, int k,
-                                  uint64_t seed, ThreadPool* pool = nullptr);
-/// @}
-
 }  // namespace pane

@@ -28,12 +28,9 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
     return Status::InvalidArgument(
         "node count shrank; compact/remap ids before refreshing");
   }
-  if (options.ccd_iterations < 0) {
-    return Status::InvalidArgument("ccd_iterations must be >= 0");
-  }
-  if (options.memory_budget_mb < 0 || options.affinity_memory_mb < 0) {
-    return Status::InvalidArgument("memory budgets must be >= 0");
-  }
+  PANE_RETURN_NOT_OK(ValidatePipelineOptions(
+      options.alpha, options.epsilon, options.num_threads,
+      options.ccd_iterations, options.memory_budget_mb));
   RefreshStats local;
   RefreshStats* out = stats != nullptr ? stats : &local;
   *out = RefreshStats{};
@@ -46,22 +43,12 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
 
   // Same single-budget rule as Pane::Train: the refresh keeps four n x d
   // factors resident (F', B', Sf, Sb); spill them when over budget.
-  const int64_t budget_mb = options.memory_budget_mb > 0
-                                ? options.memory_budget_mb
-                                : options.affinity_memory_mb;
-  const int64_t slab_bytes =
-      4 * n * d * static_cast<int64_t>(sizeof(double));
-  FactorSlab::Backing backing =
-      ResolveSlabBacking(options.slab_policy, budget_mb, slab_bytes);
-  std::unique_ptr<store::BufferPool> buffer_pool;
-  if (backing == FactorSlab::Backing::kMmap &&
-      options.spill_mode == SpillMode::kPooled) {
-    store::BufferPool::Options pool_options;
-    pool_options.budget_bytes = (budget_mb << 20) / 2;
-    buffer_pool = std::make_unique<store::BufferPool>(pool_options);
-    backing = FactorSlab::Backing::kPooled;
-  }
-  out->slabs_spilled = backing != FactorSlab::Backing::kInRam;
+  const int64_t budget_mb = options.memory_budget_mb;
+  const SlabStorage storage =
+      PlanSlabStorage(options.slab_policy, budget_mb, n, d);
+  const FactorSlab::Backing backing = storage.backing;
+  store::BufferPool* buffer_pool = storage.buffer_pool.get();
+  out->slabs_spilled = buffer_pool != nullptr;
 
   // Fresh affinity on the updated graph (the linear-time part); P and P^T
   // are built once inside the engine.
@@ -75,7 +62,7 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
     engine_options.memory_budget_mb = budget_mb;
     engine_options.backing = backing;
     engine_options.spill_dir = options.spill_dir;
-    engine_options.buffer_pool = buffer_pool.get();
+    engine_options.buffer_pool = buffer_pool;
     PANE_RETURN_NOT_OK(ComputeGraphAffinityIntoSlabs(
         updated_graph, engine_options, &affinity, &out->affinity));
   }
@@ -101,10 +88,10 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
   }
   PANE_ASSIGN_OR_RETURN(state.sf,
                         FactorSlab::Create(n, d, backing, options.spill_dir,
-                                           buffer_pool.get()));
+                                           buffer_pool));
   PANE_ASSIGN_OR_RETURN(state.sb,
                         FactorSlab::Create(n, d, backing, options.spill_dir,
-                                           buffer_pool.get()));
+                                           buffer_pool));
   PANE_RETURN_NOT_OK(BuildResidualSlab(state.xf, state.y, affinity.forward,
                                        &state.sf, pool.get()));
   PANE_RETURN_NOT_OK(BuildResidualSlab(state.xb, state.y, affinity.backward,

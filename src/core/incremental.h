@@ -32,13 +32,8 @@ struct RefreshOptions {
   /// Whole-pipeline memory budget in MiB, as in PaneOptions: panel scratch,
   /// CCD strips, and the slab spill decision. 0 => unbounded, all in RAM.
   int64_t memory_budget_mb = 0;
-  /// DEPRECATED alias for memory_budget_mb; honored when it is 0.
-  int64_t affinity_memory_mb = 0;
   /// Slab backing decision (kAuto => spill when 4 n d exceeds the budget).
   SlabPolicy slab_policy = SlabPolicy::kAuto;
-  /// Spill flavor once spilling: pooled (shared BufferPool, default) or the
-  /// flat self-managed path — see PaneOptions::spill_mode.
-  SpillMode spill_mode = SpillMode::kPooled;
   /// Spill-file directory ("" => temp dir).
   std::string spill_dir;
 };
@@ -56,6 +51,7 @@ struct RefreshStats {
 
 /// \brief Refreshes `previous` onto `updated_graph`.
 ///
+/// The options are checked like Pane::Train's (ValidatePipelineOptions).
 /// Requirements: same attribute count d and per-side dimension as
 /// `previous`; the node count may grow (new nodes are seeded from B' Y,
 /// i.e. the GreedyInit backward rule, which needs no SVD) but not shrink —

@@ -18,30 +18,44 @@ Status ValidatePaneOptions(const PaneOptions& options) {
   if (options.k < 2 || options.k % 2 != 0) {
     return Status::InvalidArgument("k must be even and >= 2");
   }
-  if (options.alpha <= 0.0 || options.alpha >= 1.0) {
+  return ValidatePipelineOptions(options.alpha, options.epsilon,
+                                 options.num_threads, options.ccd_iterations,
+                                 options.memory_budget_mb);
+}
+
+Status ValidatePipelineOptions(double alpha, double epsilon, int num_threads,
+                               int ccd_iterations, int64_t memory_budget_mb) {
+  if (alpha <= 0.0 || alpha >= 1.0) {
     return Status::InvalidArgument("alpha must be in (0, 1)");
   }
-  if (options.epsilon <= 0.0 || options.epsilon >= 1.0) {
+  if (epsilon <= 0.0 || epsilon >= 1.0) {
     return Status::InvalidArgument("epsilon must be in (0, 1)");
   }
-  if (options.num_threads < 1) {
+  if (num_threads < 1) {
     return Status::InvalidArgument("num_threads must be >= 1");
   }
-  if (options.ccd_iterations < 0) {
+  if (ccd_iterations < 0) {
     return Status::InvalidArgument("ccd_iterations must be >= 0");
   }
-  if (options.memory_budget_mb < 0) {
+  if (memory_budget_mb < 0) {
     return Status::InvalidArgument("memory_budget_mb must be >= 0");
-  }
-  if (options.affinity_memory_mb < 0) {
-    return Status::InvalidArgument("affinity_memory_mb must be >= 0");
   }
   return Status::OK();
 }
 
-int64_t ResolvedMemoryBudgetMb(const PaneOptions& options) {
-  if (options.memory_budget_mb > 0) return options.memory_budget_mb;
-  return options.affinity_memory_mb;
+SlabStorage PlanSlabStorage(SlabPolicy policy, int64_t memory_budget_mb,
+                            int64_t n, int64_t d) {
+  SlabStorage storage;
+  storage.slab_bytes = 4 * n * d * static_cast<int64_t>(sizeof(double));
+  storage.backing =
+      ResolveSlabBacking(policy, memory_budget_mb, storage.slab_bytes);
+  if (storage.backing == FactorSlab::Backing::kMmap) {
+    store::BufferPool::Options pool_options;
+    pool_options.budget_bytes = (memory_budget_mb << 20) / 2;
+    storage.buffer_pool = std::make_unique<store::BufferPool>(pool_options);
+    storage.backing = FactorSlab::Backing::kPooled;
+  }
+  return storage;
 }
 
 Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
@@ -56,11 +70,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
                       << graph.num_attributes()
                       << "; surplus dimensions carry no signal";
   }
-  const int64_t budget_mb = ResolvedMemoryBudgetMb(opt);
-  if (opt.memory_budget_mb == 0 && opt.affinity_memory_mb > 0) {
-    PANE_LOG(WARNING) << "affinity_memory_mb is deprecated; it now feeds the "
-                         "whole-pipeline budget — use memory_budget_mb";
-  }
+  const int64_t budget_mb = opt.memory_budget_mb;
 
   const int t = ComputeIterationCount(opt.epsilon, opt.alpha);
   const int ccd_iters = opt.ccd_iterations > 0 ? opt.ccd_iterations : t;
@@ -77,27 +87,17 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
 
   // One budget, one backing decision: the pipeline's resident factor cost
   // is the four n x d slabs (F', B' during affinity/init, Sf, Sb through
-  // CCD); when that exceeds the budget they all go to mmap spill files —
-  // by default through a shared BufferPool whose residency budget is half
-  // the pipeline budget (the other half stays with the panel scratch and
-  // CCD strips).
+  // CCD); when that exceeds the budget they all spill through one
+  // BufferPool.
   const int64_t n = graph.num_nodes();
   const int64_t d = graph.num_attributes();
-  const int64_t slab_bytes =
-      4 * n * d * static_cast<int64_t>(sizeof(double));
-  FactorSlab::Backing backing =
-      ResolveSlabBacking(opt.slab_policy, budget_mb, slab_bytes);
-  std::unique_ptr<store::BufferPool> buffer_pool;
-  if (backing == FactorSlab::Backing::kMmap &&
-      opt.spill_mode == SpillMode::kPooled) {
-    store::BufferPool::Options pool_options;
-    pool_options.budget_bytes = (budget_mb << 20) / 2;
-    buffer_pool = std::make_unique<store::BufferPool>(pool_options);
-    backing = FactorSlab::Backing::kPooled;
-  }
-  out_stats->slabs_spilled = backing != FactorSlab::Backing::kInRam;
+  const SlabStorage storage =
+      PlanSlabStorage(opt.slab_policy, budget_mb, n, d);
+  const FactorSlab::Backing backing = storage.backing;
+  store::BufferPool* buffer_pool = storage.buffer_pool.get();
+  out_stats->slabs_spilled = buffer_pool != nullptr;
   out_stats->pooled_spill = buffer_pool != nullptr;
-  out_stats->slab_bytes = slab_bytes;
+  out_stats->slab_bytes = storage.slab_bytes;
 
   // Phase 1: affinity approximation (Algorithm 2 / 6) via the
   // panel-streamed engine; P and P^T are built once inside it. The slabs
@@ -105,10 +105,10 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   AffinitySlabs affinity;
   PANE_ASSIGN_OR_RETURN(
       affinity.forward,
-      FactorSlab::Create(n, d, backing, opt.spill_dir, buffer_pool.get()));
+      FactorSlab::Create(n, d, backing, opt.spill_dir, buffer_pool));
   PANE_ASSIGN_OR_RETURN(
       affinity.backward,
-      FactorSlab::Create(n, d, backing, opt.spill_dir, buffer_pool.get()));
+      FactorSlab::Create(n, d, backing, opt.spill_dir, buffer_pool));
 
   InitOptions init_options;
   init_options.k = opt.k;
@@ -118,7 +118,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   init_options.residual_backing = backing;
   init_options.spill_dir = opt.spill_dir;
   init_options.memory_budget_mb = budget_mb;
-  init_options.buffer_pool = buffer_pool.get();
+  init_options.buffer_pool = buffer_pool;
 
   // Declared after `affinity` so its destructor (which joins the helper
   // thread reading the slabs) runs first on every exit path.

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/common/status.h"
@@ -40,18 +41,9 @@ struct PaneOptions {
   /// graphs whose factors exceed RAM still run. 0 => unbounded, all in RAM.
   /// Spilled and in-RAM runs produce bitwise-identical embeddings.
   int64_t memory_budget_mb = 0;
-  /// DEPRECATED alias for memory_budget_mb (--affinity-memory-mb); honored
-  /// only when memory_budget_mb is 0. Remove after one release.
-  int64_t affinity_memory_mb = 0;
   /// Slab backing decision; kAuto applies the budget rule above, kInRam /
-  /// kMmap force one backing (benches, tests).
+  /// kMmap force the factors in RAM or spilled (benches, tests).
   SlabPolicy slab_policy = SlabPolicy::kAuto;
-  /// Spill flavor once the policy says "spill": kPooled (default) routes
-  /// all spilled slabs through one store::BufferPool — pages are evicted by
-  /// a clock policy only under budget pressure, at pool-page granularity —
-  /// while kFlat keeps the original self-managed whole-panel-release path.
-  /// Both produce bitwise-identical embeddings.
-  SpillMode spill_mode = SpillMode::kPooled;
   /// Directory for spill files ("" => the system temp directory). Files are
   /// removed when their slab is destroyed, including on error paths.
   std::string spill_dir;
@@ -61,14 +53,33 @@ struct PaneOptions {
   uint64_t seed = 42;
 };
 
-/// \brief Checks a PaneOptions for validity: k even and > 0, alpha and
-/// epsilon in (0, 1), num_threads >= 1, ccd_iterations >= 0, budgets >= 0.
-/// Called up front by Pane::Train and by the api layer's option validation.
+/// \brief Checks a PaneOptions for validity: k even and > 0, plus
+/// ValidatePipelineOptions. Called up front by Pane::Train and by the api
+/// layer's option validation.
 Status ValidatePaneOptions(const PaneOptions& options);
 
-/// \brief The budget actually in force: memory_budget_mb, falling back to
-/// the deprecated affinity_memory_mb alias.
-int64_t ResolvedMemoryBudgetMb(const PaneOptions& options);
+/// \brief The checks Pane::Train and RefreshEmbedding share: alpha and
+/// epsilon in (0, 1), num_threads >= 1, ccd_iterations >= 0,
+/// memory_budget_mb >= 0.
+Status ValidatePipelineOptions(double alpha, double epsilon, int num_threads,
+                               int ccd_iterations, int64_t memory_budget_mb);
+
+/// \brief Where one run keeps its four n x d factors (F', B', Sf, Sb).
+struct SlabStorage {
+  FactorSlab::Backing backing = FactorSlab::Backing::kInRam;
+  /// Residency pool shared by every spilled slab, budgeted at half the
+  /// pipeline budget (the other half stays with the panel scratch and CCD
+  /// strips); nullptr when the factors stay in RAM. Must outlive the slabs.
+  std::unique_ptr<store::BufferPool> buffer_pool;
+  /// The four factors' total size, 4 n d doubles.
+  int64_t slab_bytes = 0;
+};
+
+/// \brief The one budget -> backing decision of Pane::Train and
+/// RefreshEmbedding: ResolveSlabBacking on the four factors, and a spill
+/// goes through one BufferPool as kPooled slabs.
+SlabStorage PlanSlabStorage(SlabPolicy policy, int64_t memory_budget_mb,
+                            int64_t n, int64_t d);
 
 /// \brief Phase timings and diagnostics from one Train() run.
 struct PaneStats {
@@ -81,7 +92,7 @@ struct PaneStats {
   double objective_initial = 0.0;  ///< Equation (4) right after init
   double objective_final = 0.0;    ///< Equation (4) after refinement
   bool slabs_spilled = false;      ///< factors lived in mmap spill slabs
-  bool pooled_spill = false;       ///< spilled through the shared BufferPool
+  bool pooled_spill = false;       ///< spilled via the BufferPool (every spill)
   int64_t slab_bytes = 0;          ///< the four n x d factors (F',B',Sf,Sb)
   int init_blocks_overlapped = 0;  ///< init block SVDs run during affinity
   CcdStats ccd;                    ///< phase-2 strip decomposition

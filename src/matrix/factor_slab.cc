@@ -322,17 +322,6 @@ Result<DenseMatrix> FactorSlab::ToDense() const {
   return out;
 }
 
-DenseMatrix FactorSlab::TakeDense() {
-  PANE_CHECK(backing_ == Backing::kInRam)
-      << "FactorSlab::TakeDense requires the in-RAM backing";
-  DenseMatrix out = std::move(dense_);
-  dense_ = DenseMatrix();
-  rows_ = 0;
-  cols_ = 0;
-  base_ = nullptr;
-  return out;
-}
-
 double FactorSlab::FrobeniusNorm() const {
   double sum = 0.0;
   const double* end = base_ + rows_ * cols_;

@@ -4,11 +4,12 @@
 //
 //   kInRam   a DenseMatrix, the historical in-memory shape;
 //   kMmap    a memory-mapped spill file (MAP_SHARED on an unlinked-on-
-//            destruction temp file), so factors larger than RAM still run;
+//            destruction temp file) whose releases drop their pages at
+//            once; ResolveSlabBacking returns it to mean "spill";
 //   kPooled  the same spill mapping, but with residency managed by a shared
 //            store::BufferPool — pages stay resident until pool-wide budget
-//            pressure evicts them (clock policy, pool-page granularity)
-//            instead of being dropped whole-panel at every release.
+//            pressure evicts them (clock policy, pool-page granularity).
+//            The training pipeline spills through this backing.
 //
 // All backings expose the same flat row-major address space, so every
 // kernel runs one code path regardless of where the bytes live — which is
@@ -42,7 +43,7 @@ class FactorSlab {
   FactorSlab() = default;
 
   /// Wraps an existing DenseMatrix as an in-RAM slab (implicit on purpose:
-  /// it is the bridge from legacy AffinityMatrices call sites).
+  /// small tests and benches build slabs straight from dense matrices).
   FactorSlab(DenseMatrix dense);  // NOLINT(runtime/explicit)
 
   /// Deep copy, preserving the backing except that a kPooled source copies
@@ -145,10 +146,6 @@ class FactorSlab {
   /// Materializes the slab as a DenseMatrix (copies under either backing).
   Result<DenseMatrix> ToDense() const;
 
-  /// Moves the storage out of an in-RAM slab (checks the backing), leaving
-  /// this slab empty. The zero-copy exit onto legacy DenseMatrix surfaces.
-  DenseMatrix TakeDense();
-
   /// sqrt(sum of squares), accumulated in row-major element order (matches
   /// DenseMatrix::FrobeniusNorm bitwise).
   double FrobeniusNorm() const;
@@ -174,26 +171,14 @@ class FactorSlab {
 
 /// \brief How the pipeline chooses a slab backing. kAuto spills exactly when
 /// a memory budget is set and the resident slab total would exceed it;
-/// kInRam / kMmap force one backing (benches, tests).
+/// kInRam / kMmap force the factors in RAM or spilled (benches, tests).
 enum class SlabPolicy { kAuto, kInRam, kMmap };
 
+/// \brief kInRam or kMmap ("spill"); the pipeline's PlanSlabStorage
+/// (src/core/pane.h) turns a spill into kPooled slabs over one BufferPool.
 FactorSlab::Backing ResolveSlabBacking(SlabPolicy policy,
                                        int64_t memory_budget_mb,
                                        int64_t resident_slab_bytes);
-
-/// \brief Which spill flavor the pipeline uses once ResolveSlabBacking says
-/// "spill": kPooled (the default) shares a BufferPool across all spilled
-/// slabs; kFlat is the original self-managed whole-panel-release path.
-enum class SpillMode { kPooled, kFlat };
-
-/// \brief The spilled Backing for a chosen mode: kPooled only when a pool
-/// exists, otherwise kMmap.
-inline FactorSlab::Backing SpillBackingFor(SpillMode mode,
-                                           store::BufferPool* pool) {
-  return (mode == SpillMode::kPooled && pool != nullptr)
-             ? FactorSlab::Backing::kPooled
-             : FactorSlab::Backing::kMmap;
-}
 
 /// \brief The streaming passes' release policy, in one place: residency
 /// failures are advisory (the data is intact, only the RSS bound slips), so

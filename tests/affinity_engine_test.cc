@@ -1,7 +1,8 @@
 // Tests for the panel-streamed affinity engine: every panel decomposition
 // (width 1, width > d, non-divisible widths, budget-derived widths) and
-// thread count must reproduce the historical serial APMI path bitwise, and
-// the engine's reported scratch allocation must respect the memory budget.
+// thread count must reproduce the unfused ApmiProbabilities +
+// SpmiFromProbabilities reference bitwise, and the engine's reported scratch
+// allocation must respect the memory budget.
 #include "src/core/affinity_engine.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,6 @@
 
 #include "src/common/sync.h"
 #include "src/core/affinity.h"
-#include "src/core/apmi.h"
 #include "src/parallel/thread_pool.h"
 #include "test_util.h"
 
@@ -45,17 +45,19 @@ AffinityMatrices ReferenceAffinity(const GraphInputs& in, double alpha,
   return SpmiFromProbabilities(ApmiProbabilities(inputs).ValueOrDie());
 }
 
-AffinityMatrices RunEngine(const GraphInputs& in,
-                           const AffinityEngineOptions& options,
-                           AffinityEngineStats* stats = nullptr) {
-  return ComputeAffinityPanels(in.p, in.pt, *in.r, options, stats)
-      .ValueOrDie();
+AffinitySlabs RunEngine(const GraphInputs& in,
+                        const AffinityEngineOptions& options,
+                        AffinityEngineStats* stats = nullptr) {
+  AffinitySlabs out;
+  PANE_CHECK_OK(
+      ComputeAffinityIntoSlabs(in.p, in.pt, *in.r, options, &out, stats));
+  return out;
 }
 
-void ExpectBitwiseEqual(const AffinityMatrices& a, const AffinityMatrices& b,
-                        const std::string& label) {
-  EXPECT_EQ(a.forward.MaxAbsDiff(b.forward), 0.0) << label;
-  EXPECT_EQ(a.backward.MaxAbsDiff(b.backward), 0.0) << label;
+void ExpectBitwiseEqual(const AffinityMatrices& reference,
+                        const AffinitySlabs& got, const std::string& label) {
+  EXPECT_EQ(got.forward.MaxAbsDiff(reference.forward), 0.0) << label;
+  EXPECT_EQ(got.backward.MaxAbsDiff(reference.backward), 0.0) << label;
 }
 
 // ---------------------------------------------------------------------------
@@ -74,7 +76,7 @@ TEST_P(PanelWidthSweep, BitwiseEqualToUnfusedReferenceSerial) {
   options.t = 5;
   options.panel_width = GetParam();
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   ExpectBitwiseEqual(reference, got,
                      "panel_width=" + std::to_string(GetParam()));
   // Widths beyond d are clamped to d.
@@ -97,7 +99,7 @@ TEST_P(PanelWidthSweep, BitwiseEqualToUnfusedReferencePooled) {
     options.t = t;
     options.pool = &pool;
     options.panel_width = GetParam();
-    const AffinityMatrices got = RunEngine(in, options);
+    const AffinitySlabs got = RunEngine(in, options);
     ExpectBitwiseEqual(reference, got,
                        "pooled panel_width=" + std::to_string(GetParam()) +
                            " alpha=" + std::to_string(alpha) +
@@ -150,7 +152,7 @@ TEST(AffinityEngineTest, BudgetDerivesWidthAndRespectsIt) {
   // d = 80 here; shrink the budget until the width is genuinely partial.
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   ExpectBitwiseEqual(reference, got, "budget=1MiB");
   EXPECT_FALSE(stats.budget_clamped);
   // Regression: the reported scratch allocation never exceeds the budget
@@ -172,7 +174,7 @@ TEST(AffinityEngineTest, PooledBudgetSequentialPanelsGetWholeBudget) {
   options.pool = &pool;
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   ExpectBitwiseEqual(reference, got, "pooled budget=1MiB sequential");
   EXPECT_FALSE(stats.budget_clamped);
   EXPECT_FALSE(stats.panel_parallel);
@@ -195,7 +197,7 @@ TEST(AffinityEngineTest, PooledBudgetRespectedAcrossInFlightPanels) {
   options.pool = &pool;
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   ExpectBitwiseEqual(reference, got, "pooled budget=1MiB panel-parallel");
   EXPECT_FALSE(stats.budget_clamped);
   EXPECT_TRUE(stats.panel_parallel);
@@ -219,7 +221,7 @@ TEST(AffinityEngineTest, BudgetBelowPanelParallelFallsBackToSequential) {
   options.pool = &pool;
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   EXPECT_FALSE(stats.budget_clamped);
   EXPECT_FALSE(stats.panel_parallel);
   EXPECT_EQ(stats.panel_width, 7);
@@ -242,7 +244,7 @@ TEST(AffinityEngineTest, BudgetSmallerThanOnePanelClampsWithWarningFlag) {
   options.pool = &pool;
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   EXPECT_TRUE(stats.budget_clamped);
   EXPECT_FALSE(stats.panel_parallel);
   EXPECT_EQ(stats.panel_width, 1);
@@ -272,7 +274,7 @@ TEST(AffinityEngineTest, UnboundedDefaultsReproduceHistoricalShapes) {
   for (const int nb : {2, 3, 5, 8}) {
     ThreadPool pool(nb);
     options.pool = &pool;
-    const AffinityMatrices got = RunEngine(in, options, &stats);
+    const AffinitySlabs got = RunEngine(in, options, &stats);
     EXPECT_EQ(stats.panel_width, (80 + nb - 1) / nb) << "nb=" << nb;
     EXPECT_EQ(stats.num_panels, nb);
     EXPECT_TRUE(stats.panel_parallel) << "nb=" << nb;
@@ -305,25 +307,30 @@ TEST(AffinityEngineTest, NegativeBackwardRowSumZeroesRowLikeReference) {
   options.alpha = 0.5;
   options.t = 3;
   options.panel_width = 1;
-  const AffinityMatrices got =
-      ComputeAffinityPanels(p, pt, r, options).ValueOrDie();
+  AffinitySlabs got;
+  ASSERT_TRUE(ComputeAffinityIntoSlabs(p, pt, r, options, &got).ok());
   ExpectBitwiseEqual(reference, got, "negative backward row sum");
-  EXPECT_EQ(got.backward(1, 0), 0.0);
-  EXPECT_EQ(got.backward(1, 1), 0.0);
+  EXPECT_EQ(got.backward.Row(1)[0], 0.0);
+  EXPECT_EQ(got.backward.Row(1)[1], 0.0);
 }
 
 // ---------------------------------------------------------------------------
 // Graph-level entries.
 
-TEST(AffinityEngineTest, ComputeAffinityAcceptsPoolAndBudget) {
+TEST(AffinityEngineTest, GraphEntryAcceptsPoolAndBudget) {
   const AttributedGraph g = testing::SmallSbm(47, 300);
-  const AffinityMatrices serial = ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
+  const int t = ComputeIterationCount(0.015, 0.5);
+  const AffinityMatrices reference = ReferenceAffinity(MakeInputs(g), 0.5, t);
   ThreadPool pool(4);
+  AffinityEngineOptions options;
+  options.alpha = 0.5;
+  options.t = t;
+  options.pool = &pool;
+  options.memory_budget_mb = 2;
   AffinityEngineStats stats;
-  const AffinityMatrices pooled =
-      ComputeAffinity(g, 0.5, 0.015, &pool, /*memory_budget_mb=*/2, &stats)
-          .ValueOrDie();
-  ExpectBitwiseEqual(serial, pooled, "ComputeAffinity pool+budget");
+  AffinitySlabs pooled;
+  ASSERT_TRUE(ComputeGraphAffinityIntoSlabs(g, options, &pooled, &stats).ok());
+  ExpectBitwiseEqual(reference, pooled, "graph entry pool+budget");
   EXPECT_LE(stats.scratch_bytes, int64_t{2} << 20);
 }
 
@@ -333,34 +340,32 @@ TEST(AffinityEngineTest, EmptyMatricesReturnEmptyOutputs) {
   const CsrMatrix r = CsrMatrix::FromTriplets(0, 3, {}).ValueOrDie();
   AffinityEngineOptions options;
   options.memory_budget_mb = 1;
-  const auto out = ComputeAffinityPanels(p, p, r, options);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->forward.rows(), 0);
-  EXPECT_EQ(out->forward.cols(), 3);
-  EXPECT_EQ(out->backward.rows(), 0);
+  AffinitySlabs out;
+  ASSERT_TRUE(ComputeAffinityIntoSlabs(p, p, r, options, &out).ok());
+  EXPECT_EQ(out.forward.rows(), 0);
+  EXPECT_EQ(out.forward.cols(), 3);
+  EXPECT_EQ(out.backward.rows(), 0);
 }
 
 // ---------------------------------------------------------------------------
 // Slab outputs and the panel consumer.
 
-TEST(AffinityEngineTest, MmapSlabsBitwiseEqualToDensePath) {
+TEST(AffinityEngineTest, MmapSlabsBitwiseEqualToInRamSlabs) {
   const AttributedGraph g = testing::SmallSbm(48, 250);
   const GraphInputs in = MakeInputs(g);
   AffinityEngineOptions options;
   options.alpha = 0.5;
   options.t = 4;
-  const AffinityMatrices dense = RunEngine(in, options);
+  const AffinitySlabs in_ram = RunEngine(in, options);
   options.backing = FactorSlab::Backing::kMmap;
   options.memory_budget_mb = 1;  // narrow panels + per-panel residency drops
   AffinityEngineStats stats;
-  const AffinitySlabs slabs =
-      ComputeAffinitySlabs(in.p, in.pt, *in.r, options, &stats)
-          .ValueOrDie();
+  const AffinitySlabs slabs = RunEngine(in, options, &stats);
   ASSERT_TRUE(slabs.forward.spilled());
   EXPECT_TRUE(stats.spilled);
   EXPECT_FALSE(stats.panel_parallel);  // spill forces sequential panels
-  EXPECT_EQ(slabs.forward.MaxAbsDiff(dense.forward), 0.0);
-  EXPECT_EQ(slabs.backward.MaxAbsDiff(dense.backward), 0.0);
+  EXPECT_EQ(slabs.forward.MaxAbsDiff(in_ram.forward), 0.0);
+  EXPECT_EQ(slabs.backward.MaxAbsDiff(in_ram.backward), 0.0);
 }
 
 TEST(AffinityEngineTest, PooledMmapSlabsBitwiseEqual) {
@@ -369,14 +374,13 @@ TEST(AffinityEngineTest, PooledMmapSlabsBitwiseEqual) {
   AffinityEngineOptions options;
   options.alpha = 0.5;
   options.t = 4;
-  const AffinityMatrices dense = RunEngine(in, options);
+  const AffinitySlabs in_ram = RunEngine(in, options);
   ThreadPool pool(4);
   options.pool = &pool;
   options.backing = FactorSlab::Backing::kMmap;
-  const AffinitySlabs slabs =
-      ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ValueOrDie();
-  EXPECT_EQ(slabs.forward.MaxAbsDiff(dense.forward), 0.0);
-  EXPECT_EQ(slabs.backward.MaxAbsDiff(dense.backward), 0.0);
+  const AffinitySlabs slabs = RunEngine(in, options);
+  EXPECT_EQ(slabs.forward.MaxAbsDiff(in_ram.forward), 0.0);
+  EXPECT_EQ(slabs.backward.MaxAbsDiff(in_ram.backward), 0.0);
 }
 
 TEST(AffinityEngineTest, PanelConsumerSeesEveryPanelOnce) {
@@ -403,7 +407,7 @@ TEST(AffinityEngineTest, PanelConsumerSeesEveryPanelOnce) {
     if (event.forward) cols_seen += event.col_end - event.col_begin;
   };
   AffinityEngineStats stats;
-  ComputeAffinitySlabs(in.p, in.pt, *in.r, options, &stats).ValueOrDie();
+  RunEngine(in, options, &stats);
   EXPECT_EQ(forward_events, stats.num_panels);
   EXPECT_EQ(backward_events, stats.num_panels);
   EXPECT_EQ(forward_complete_events, 1);
@@ -424,21 +428,26 @@ TEST(AffinityEngineTest, IntoSlabsRejectsMisshapenSlabs) {
 TEST(AffinityEngineTest, InputValidation) {
   const AttributedGraph g = testing::Figure1Graph();
   const GraphInputs in = MakeInputs(g);
+  const auto run = [&in](const AffinityEngineOptions& options,
+                         const CsrMatrix& pt) {
+    AffinitySlabs out;
+    return ComputeAffinityIntoSlabs(in.p, pt, *in.r, options, &out);
+  };
   AffinityEngineOptions options;
   options.alpha = 0.0;  // out of range
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, in.pt, *in.r, options).ok());
+  EXPECT_FALSE(run(options, in.pt).ok());
   options.alpha = 0.5;
   options.t = 0;  // out of range
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, in.pt, *in.r, options).ok());
+  EXPECT_FALSE(run(options, in.pt).ok());
   options.t = 3;
   options.memory_budget_mb = -1;
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, in.pt, *in.r, options).ok());
+  EXPECT_FALSE(run(options, in.pt).ok());
   options.memory_budget_mb = 0;
   options.panel_width = -2;
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, in.pt, *in.r, options).ok());
+  EXPECT_FALSE(run(options, in.pt).ok());
   options.panel_width = 0;
   // P^T shape mismatch.
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, *in.r, *in.r, options).ok());
+  EXPECT_FALSE(run(options, *in.r).ok());
 }
 
 }  // namespace

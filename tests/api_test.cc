@@ -61,17 +61,16 @@ TEST(EmbedderConfigTest, BridgesFromFlagSet) {
 }
 
 TEST(EmbedderConfigTest, DashedKeysNormalizeToUnderscores) {
-  // Every write path normalizes, so the --affinity-memory-mb flag bridge
-  // and a raw --opt=affinity-memory-mb=64 entry both land on the one key
+  // Every write path normalizes, so the --memory-budget-mb flag bridge and
+  // a raw --opt=memory-budget-mb=64 entry both land on the one key
   // embedders read.
   FlagSet flags;
-  flags.AddInt("affinity-memory-mb", 48, "budget");
+  flags.AddInt("memory-budget-mb", 48, "budget");
   const EmbedderConfig bridged = EmbedderConfig::FromFlags(flags);
-  EXPECT_EQ(*bridged.GetInt("affinity_memory_mb", 0), 48);
-  const EmbedderConfig set =
-      EmbedderConfig().Set("affinity-memory-mb", "64");
-  EXPECT_EQ(*set.GetInt("affinity_memory_mb", 0), 64);
-  EXPECT_TRUE(set.Has("affinity_memory_mb"));
+  EXPECT_EQ(*bridged.GetInt("memory_budget_mb", 0), 48);
+  const EmbedderConfig set = EmbedderConfig().Set("memory-budget-mb", "64");
+  EXPECT_EQ(*set.GetInt("memory_budget_mb", 0), 64);
+  EXPECT_TRUE(set.Has("memory_budget_mb"));
 }
 
 TEST(EmbedderRegistryTest, NamesCoverAllSevenMethods) {
@@ -125,6 +124,26 @@ TEST(EmbedderRegistryTest, InvalidOptionsFailValidationAtCreate) {
       EmbedderRegistry::Create("pane", EmbedderConfig().Set("threads", "0"))
           .status()
           .IsInvalidArgument());
+}
+
+TEST(EmbedderRegistryTest, RetiredPaneKeysAreRefused) {
+  // EmbedderConfig tolerates unknown keys, so a retired budget key would
+  // otherwise train unbounded in RAM without a word.
+  for (const char* method : {"pane", "pane-seq"}) {
+    for (const auto& [key, value] :
+         {std::pair<const char*, const char*>{"affinity_memory_mb", "64"},
+          {"affinity-memory-mb", "64"},
+          {"spill_mode", "flat"}}) {
+      SCOPED_TRACE(std::string(method) + " " + key);
+      const auto r =
+          EmbedderRegistry::Create(method, EmbedderConfig().Set(key, value));
+      ASSERT_FALSE(r.ok());
+      EXPECT_TRUE(r.status().IsInvalidArgument());
+      EXPECT_NE(r.status().message().find("memory_budget_mb"),
+                std::string::npos)
+          << r.status();
+    }
+  }
 }
 
 TEST(EmbedderRegistryTest, EveryMethodTrainsOnTheRunningExample) {

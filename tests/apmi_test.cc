@@ -1,13 +1,13 @@
 // Tests for APMI (Algorithm 2): agreement with the independent dense
 // reference, the Lemma 3.1 truncation bounds, convergence in eps, and
-// parameterized sweeps over alpha.
-#include "src/core/apmi.h"
-
+// parameterized sweeps over alpha. Probabilities come from the unfused
+// ApmiProbabilities path, affinities from the production engine.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "src/core/affinity.h"
+#include "src/core/affinity_engine.h"
 #include "test_util.h"
 
 namespace pane {
@@ -15,10 +15,10 @@ namespace {
 
 struct ApmiRun {
   ProbabilityMatrices probs;
-  AffinityMatrices affinity;
+  AffinitySlabs affinity;
 };
 
-ApmiRun RunApmi(const AttributedGraph& g, double alpha, int t) {
+ApmiRun RunBothPaths(const AttributedGraph& g, double alpha, int t) {
   const CsrMatrix p = g.RandomWalkMatrix();
   const CsrMatrix pt = p.Transposed();
   ApmiInputs inputs;
@@ -29,14 +29,18 @@ ApmiRun RunApmi(const AttributedGraph& g, double alpha, int t) {
   inputs.t = t;
   ApmiRun run;
   run.probs = ApmiProbabilities(inputs).ValueOrDie();
-  run.affinity = Apmi(inputs).ValueOrDie();
+  AffinityEngineOptions options;
+  options.alpha = alpha;
+  options.t = t;
+  PANE_CHECK_OK(ComputeAffinityIntoSlabs(p, pt, g.attributes(), options,
+                                         &run.affinity));
   return run;
 }
 
 TEST(ApmiTest, MatchesDenseReferenceAtSameT) {
   const AttributedGraph g = testing::SmallSbm(21, 250);
   for (const int t : {1, 3, 7}) {
-    const ApmiRun run = RunApmi(g, 0.5, t);
+    const ApmiRun run = RunBothPaths(g, 0.5, t);
     const auto exact = ExactProbabilities(g, 0.5, t).ValueOrDie();
     EXPECT_LT(run.probs.pf.MaxAbsDiff(exact.pf), 1e-12) << "t=" << t;
     EXPECT_LT(run.probs.pb.MaxAbsDiff(exact.pb), 1e-12) << "t=" << t;
@@ -49,7 +53,7 @@ TEST(ApmiTest, Lemma31TruncationBounds) {
   const double alpha = 0.3;
   const double eps = 0.05;
   const int t = ComputeIterationCount(eps, alpha);
-  const ApmiRun run = RunApmi(g, alpha, t);
+  const ApmiRun run = RunBothPaths(g, alpha, t);
   // "Exact" series: truncated far beyond machine precision.
   const auto exact = ExactProbabilities(g, alpha, 120).ValueOrDie();
   for (int64_t i = 0; i < g.num_nodes(); ++i) {
@@ -72,7 +76,7 @@ TEST(ApmiTest, AffinityConvergesAsEpsilonShrinks) {
   double prev_err = 1e300;
   for (const double eps : {0.25, 0.05, 0.005, 0.0005}) {
     const int t = ComputeIterationCount(eps, 0.5);
-    const ApmiRun run = RunApmi(g, 0.5, t);
+    const ApmiRun run = RunBothPaths(g, 0.5, t);
     const double err = run.affinity.forward.MaxAbsDiff(exact.forward) +
                        run.affinity.backward.MaxAbsDiff(exact.backward);
     EXPECT_LE(err, prev_err + 1e-12) << "eps=" << eps;
@@ -81,9 +85,9 @@ TEST(ApmiTest, AffinityConvergesAsEpsilonShrinks) {
   EXPECT_LT(prev_err, 5e-3);
 }
 
-TEST(ApmiTest, ComputeAffinityWrapper) {
+TEST(ApmiTest, GraphEntryShapes) {
   const AttributedGraph g = testing::Figure1Graph();
-  const auto affinity = ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
+  const AffinitySlabs affinity = testing::GraphAffinity(g, 0.5, 0.015);
   EXPECT_EQ(affinity.forward.rows(), 6);
   EXPECT_EQ(affinity.forward.cols(), 3);
   EXPECT_EQ(affinity.backward.rows(), 6);
@@ -100,15 +104,15 @@ TEST(ApmiTest, InputValidation) {
 
   inputs.alpha = 0.0;  // out of range
   inputs.t = 3;
-  EXPECT_FALSE(Apmi(inputs).ok());
+  EXPECT_FALSE(ApmiProbabilities(inputs).ok());
 
   inputs.alpha = 0.5;
   inputs.t = 0;  // out of range
-  EXPECT_FALSE(Apmi(inputs).ok());
+  EXPECT_FALSE(ApmiProbabilities(inputs).ok());
 
   inputs.t = 3;
   inputs.r = nullptr;
-  EXPECT_FALSE(Apmi(inputs).ok());
+  EXPECT_FALSE(ApmiProbabilities(inputs).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -121,7 +125,7 @@ TEST_P(ApmiAlphaSweep, ProbabilitiesWellFormed) {
   const double alpha = GetParam();
   const AttributedGraph g = testing::SmallSbm(23, 150);
   const int t = ComputeIterationCount(0.015, alpha);
-  const ApmiRun run = RunApmi(g, alpha, t);
+  const ApmiRun run = RunBothPaths(g, alpha, t);
   for (int64_t i = 0; i < g.num_nodes(); ++i) {
     double row_sum = 0.0;
     for (int64_t j = 0; j < g.num_attributes(); ++j) {
@@ -129,10 +133,12 @@ TEST_P(ApmiAlphaSweep, ProbabilitiesWellFormed) {
       EXPECT_GE(pf, 0.0);
       EXPECT_LE(pf, 1.0 + 1e-12);
       row_sum += pf;
-      EXPECT_TRUE(std::isfinite(run.affinity.forward(i, j)));
-      EXPECT_GE(run.affinity.forward(i, j), 0.0);
-      EXPECT_TRUE(std::isfinite(run.affinity.backward(i, j)));
-      EXPECT_GE(run.affinity.backward(i, j), 0.0);
+      const double f = run.affinity.forward.Row(i)[j];
+      const double b = run.affinity.backward.Row(i)[j];
+      EXPECT_TRUE(std::isfinite(f));
+      EXPECT_GE(f, 0.0);
+      EXPECT_TRUE(std::isfinite(b));
+      EXPECT_GE(b, 0.0);
     }
     // Forward walk distributes at most probability 1 over attributes.
     EXPECT_LE(row_sum, 1.0 + 1e-9);

@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "src/common/random.h"
-#include "src/core/apmi.h"
 #include "src/core/greedy_init.h"
 #include "src/matrix/gemm.h"
 #include "src/parallel/thread_pool.h"
@@ -17,21 +17,28 @@
 namespace pane {
 namespace {
 
-AffinityMatrices TestAffinity(int64_t n = 250, uint64_t seed = 51) {
-  return ComputeAffinity(testing::SmallSbm(seed, n), 0.5, 0.015).ValueOrDie();
+using testing::MakeInitOptions;
+
+AffinitySlabs TestAffinity(int64_t n = 250, uint64_t seed = 51) {
+  return testing::GraphAffinity(testing::SmallSbm(seed, n));
 }
 
 double ResidualConsistencyError(const EmbeddingState& s,
-                                const AffinityMatrices& affinity) {
+                                const AffinitySlabs& affinity) {
   DenseMatrix sf_expected, sb_expected;
-  GemmTransBAddScaled(s.xf, s.y, 1.0, affinity.forward, -1.0, &sf_expected);
-  GemmTransBAddScaled(s.xb, s.y, 1.0, affinity.backward, -1.0, &sb_expected);
+  GemmTransBAddScaled(s.xf, s.y, 1.0, affinity.forward.ToDense().ValueOrDie(),
+                      -1.0, &sf_expected);
+  GemmTransBAddScaled(s.xb, s.y, 1.0,
+                      affinity.backward.ToDense().ValueOrDie(), -1.0,
+                      &sb_expected);
   return s.sf.MaxAbsDiff(sf_expected) + s.sb.MaxAbsDiff(sb_expected);
 }
 
 TEST(CcdTest, ObjectiveNonIncreasingFromRandomInit) {
-  const AffinityMatrices affinity = TestAffinity();
-  auto state = RandomInit(affinity, 16, 5).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto state =
+      RandomInit(affinity, MakeInitOptions(16, 5, nullptr, /*seed=*/5))
+          .ValueOrDie();
   std::vector<double> trace;
   trace.push_back(Objective(state));
   CcdOptions options;
@@ -47,8 +54,8 @@ TEST(CcdTest, ObjectiveNonIncreasingFromRandomInit) {
 }
 
 TEST(CcdTest, ObjectiveNonIncreasingFromGreedyInit) {
-  const AffinityMatrices affinity = TestAffinity();
-  auto state = GreedyInit(affinity, 16, 6).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto state = GreedyInit(affinity, MakeInitOptions(16, 6)).ValueOrDie();
   std::vector<double> trace;
   trace.push_back(Objective(state));
   CcdOptions options;
@@ -63,8 +70,8 @@ TEST(CcdTest, ObjectiveNonIncreasingFromGreedyInit) {
 TEST(CcdTest, IncrementalResidualsMatchRecomputation) {
   // The dynamic maintenance of Equations (18)-(20) must leave Sf, Sb equal
   // to a from-scratch Xf Y^T - F' at every exit point.
-  const AffinityMatrices affinity = TestAffinity();
-  auto state = GreedyInit(affinity, 24, 6).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto state = GreedyInit(affinity, MakeInitOptions(24, 6)).ValueOrDie();
   CcdOptions options;
   options.iterations = 3;
   ASSERT_TRUE(CcdRefine(&state, options).ok());
@@ -72,8 +79,8 @@ TEST(CcdTest, IncrementalResidualsMatchRecomputation) {
 }
 
 TEST(CcdTest, ParallelMatchesSerialQuality) {
-  const AffinityMatrices affinity = TestAffinity();
-  auto serial_state = GreedyInit(affinity, 16, 6).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto serial_state = GreedyInit(affinity, MakeInitOptions(16, 6)).ValueOrDie();
   auto parallel_state = serial_state;  // identical starting point
 
   CcdOptions serial_options;
@@ -95,8 +102,8 @@ TEST(CcdTest, ParallelMatchesSerialQuality) {
 }
 
 TEST(CcdTest, ZeroIterationsIsNoop) {
-  const AffinityMatrices affinity = TestAffinity(120, 52);
-  auto state = GreedyInit(affinity, 8, 4).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity(120, 52);
+  auto state = GreedyInit(affinity, MakeInitOptions(8, 4)).ValueOrDie();
   const DenseMatrix xf_before = state.xf;
   CcdOptions options;
   options.iterations = 0;
@@ -108,12 +115,14 @@ TEST(CcdTest, HandlesRankDeficientYColumns) {
   // k/2 > d forces zero Y columns; updates on those coordinates must be
   // skipped rather than divide by zero.
   Rng rng(53);
-  AffinityMatrices affinity;
-  affinity.forward.Resize(40, 3);
-  affinity.backward.Resize(40, 3);
-  affinity.forward.FillUniform(&rng, 0.0, 1.0);
-  affinity.backward.FillUniform(&rng, 0.0, 1.0);
-  auto state = GreedyInit(affinity, 16, 4).ValueOrDie();  // k/2 = 8 > d = 3
+  DenseMatrix forward(40, 3), backward(40, 3);
+  forward.FillUniform(&rng, 0.0, 1.0);
+  backward.FillUniform(&rng, 0.0, 1.0);
+  AffinitySlabs affinity;
+  affinity.forward = std::move(forward);
+  affinity.backward = std::move(backward);
+  // k/2 = 8 > d = 3.
+  auto state = GreedyInit(affinity, MakeInitOptions(16, 4)).ValueOrDie();
   CcdOptions options;
   options.iterations = 3;
   ASSERT_TRUE(CcdRefine(&state, options).ok());
@@ -138,9 +147,11 @@ TEST(CcdTest, RejectsInconsistentShapes) {
 TEST(CcdTest, GreedyBeatsRandomAtEqualIterations) {
   // The Section 5.7 ablation in miniature: same CCD budget, greedy seeding
   // lands at a lower objective.
-  const AffinityMatrices affinity = TestAffinity();
-  auto greedy = GreedyInit(affinity, 16, 6).ValueOrDie();
-  auto random = RandomInit(affinity, 16, 5).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto greedy = GreedyInit(affinity, MakeInitOptions(16, 6)).ValueOrDie();
+  auto random =
+      RandomInit(affinity, MakeInitOptions(16, 5, nullptr, /*seed=*/5))
+          .ValueOrDie();
   CcdOptions options;
   options.iterations = 2;
   ASSERT_TRUE(CcdRefine(&greedy, options).ok());

@@ -38,13 +38,12 @@ TEST(FactorSlabTest, InRamRoundTrip) {
   EXPECT_EQ(dense(0, 0), 0.0);
 }
 
-TEST(FactorSlabTest, WrapAndTakeDense) {
+TEST(FactorSlabTest, WrapsDenseMatrixInRam) {
   const DenseMatrix source = RandomMatrix(8, 4, 1);
   FactorSlab slab(source);
+  EXPECT_FALSE(slab.spilled());
   EXPECT_EQ(slab.MaxAbsDiff(source), 0.0);
-  DenseMatrix back = slab.TakeDense();
-  EXPECT_EQ(back.MaxAbsDiff(source), 0.0);
-  EXPECT_TRUE(slab.empty());
+  EXPECT_EQ(slab.ToDense().ValueOrDie().MaxAbsDiff(source), 0.0);
 }
 
 TEST(FactorSlabTest, MmapCreateWriteReadAndCleanup) {

@@ -68,6 +68,31 @@ TEST(RefreshTest, ValidatesInputs) {
   EXPECT_FALSE(
       RefreshEmbedding(small.Build(false).ValueOrDie(), base, RefreshOptions{})
           .ok());
+
+  // Options are checked like Pane::Train's: refused, not aborted on.
+  const auto refused = [&](RefreshOptions bad) {
+    const auto result = RefreshEmbedding(g, base, bad);
+    return !result.ok() && result.status().IsInvalidArgument();
+  };
+  for (const double alpha : {0.0, 1.0, 1.5, -0.2}) {
+    RefreshOptions bad;
+    bad.alpha = alpha;
+    EXPECT_TRUE(refused(bad)) << "alpha=" << alpha;
+  }
+  for (const double epsilon : {0.0, 1.0, 2.0}) {
+    RefreshOptions bad;
+    bad.epsilon = epsilon;
+    EXPECT_TRUE(refused(bad)) << "epsilon=" << epsilon;
+  }
+  RefreshOptions no_threads;
+  no_threads.num_threads = 0;
+  EXPECT_TRUE(refused(no_threads));
+  RefreshOptions negative_ccd;
+  negative_ccd.ccd_iterations = -1;
+  EXPECT_TRUE(refused(negative_ccd));
+  RefreshOptions negative_budget;
+  negative_budget.memory_budget_mb = -1;
+  EXPECT_TRUE(refused(negative_budget));
 }
 
 TEST(RefreshTest, SmallUpdateKeepsQuality) {

@@ -16,6 +16,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -160,6 +161,24 @@ TEST(ShardPlanTest, PlanResponseRejectsGarbage) {
 
 // ---- Trained artifact fixture -------------------------------------------
 
+std::string ShardArtifactPath() {
+  return (std::filesystem::temp_directory_path() /
+          ("shard_artifact_" + std::to_string(::getpid()) + ".ctn"))
+      .string();
+}
+
+// The fixture below lives for the whole binary, so its artifact is removed
+// when the test program exits.
+class ShardArtifactCleanup : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ignored;
+    std::filesystem::remove(ShardArtifactPath(), ignored);
+  }
+};
+::testing::Environment* const kShardArtifactCleanup =
+    ::testing::AddGlobalTestEnvironment(new ShardArtifactCleanup);
+
 struct ShardFixture {
   AttributedGraph graph;
   PaneEmbedding embedding;
@@ -183,10 +202,7 @@ struct ShardFixture {
       artifact.features.SetBlock(0, f->embedding.xf.cols(), f->embedding.xb);
       artifact.link_convention = LinkConvention::kForwardBackward;
       artifact.attribute_convention = AttributeConvention::kFactors;
-      f->artifact_path = (std::filesystem::temp_directory_path() /
-                          ("shard_artifact_" + std::to_string(::getpid()) +
-                           ".ctn"))
-                             .string();
+      f->artifact_path = ShardArtifactPath();
       PANE_CHECK_OK(artifact.SaveContainer(f->artifact_path));
       return f;
     }();

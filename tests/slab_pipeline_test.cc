@@ -1,6 +1,6 @@
 // Whole-pipeline tests for the FactorSlab storage layer: a spill-forced
 // Pane::Train must produce bitwise-identical embeddings to the in-RAM and
-// unbounded runs on the same seed, spill-mode scratch must respect the
+// unbounded runs on the same seed, spilled-run scratch must respect the
 // budget, and spill files must vanish on success and on error paths.
 #include <gtest/gtest.h>
 
@@ -54,8 +54,8 @@ TEST(SlabPipelineTest, SpillBitwiseIdenticalToInRamAndUnbounded) {
   ASSERT_TRUE(spill_stats.slabs_spilled)
       << "budget " << kBudgetMb << " MiB should spill "
       << spill_stats.slab_bytes << " slab bytes";
-  ExpectBitwiseEqual(spilled, in_ram, "mmap vs in-RAM at equal budget");
-  ExpectBitwiseEqual(spilled, unbounded, "mmap+budget vs unbounded");
+  ExpectBitwiseEqual(spilled, in_ram, "spill vs in-RAM at equal budget");
+  ExpectBitwiseEqual(spilled, unbounded, "spill+budget vs unbounded");
 }
 
 TEST(SlabPipelineTest, SerialSpillMatchesSerialUnbounded) {
@@ -66,7 +66,7 @@ TEST(SlabPipelineTest, SerialSpillMatchesSerialUnbounded) {
       Pane(BudgetedOptions(1, kBudgetMb, SlabPolicy::kMmap))
           .Train(g)
           .ValueOrDie();
-  ExpectBitwiseEqual(spilled, unbounded, "serial mmap vs serial unbounded");
+  ExpectBitwiseEqual(spilled, unbounded, "serial spill vs serial unbounded");
 }
 
 TEST(SlabPipelineTest, RandomInitSpillMatches) {
@@ -77,7 +77,7 @@ TEST(SlabPipelineTest, RandomInitSpillMatches) {
   spill.greedy_init = false;
   const auto unbounded = Pane(base).Train(g).ValueOrDie();
   const auto spilled = Pane(spill).Train(g).ValueOrDie();
-  ExpectBitwiseEqual(spilled, unbounded, "PANE-R mmap vs unbounded");
+  ExpectBitwiseEqual(spilled, unbounded, "PANE-R spill vs unbounded");
 }
 
 TEST(SlabPipelineTest, SpillScratchStaysUnderBudget) {
@@ -118,20 +118,6 @@ TEST(SlabPipelineTest, MissingSpillDirFailsWithoutSideEffects) {
   EXPECT_FALSE(fs::exists(options.spill_dir));
 }
 
-TEST(SlabPipelineTest, DeprecatedAliasFeedsTheBudget) {
-  const AttributedGraph g = testing::SmallSbm(77, kNodes);
-  PaneOptions alias = BudgetedOptions(3, 0, SlabPolicy::kAuto);
-  alias.affinity_memory_mb = kBudgetMb;
-  EXPECT_EQ(ResolvedMemoryBudgetMb(alias), kBudgetMb);
-  PaneStats stats;
-  const auto trained = Pane(alias).Train(g, &stats).ValueOrDie();
-  // The alias now drives the whole budget, including the spill decision.
-  EXPECT_TRUE(stats.slabs_spilled);
-  PaneOptions direct = BudgetedOptions(3, kBudgetMb, SlabPolicy::kAuto);
-  const auto expected = Pane(direct).Train(g).ValueOrDie();
-  ExpectBitwiseEqual(trained, expected, "alias vs memory_budget_mb");
-}
-
 TEST(SlabPipelineTest, RefreshRunsSpilledAndMatchesInRam) {
   const AttributedGraph g = testing::SmallSbm(78, kNodes);
   const auto base =
@@ -148,7 +134,7 @@ TEST(SlabPipelineTest, RefreshRunsSpilledAndMatchesInRam) {
       RefreshEmbedding(g, base, spill, &spill_stats).ValueOrDie();
   EXPECT_TRUE(spill_stats.slabs_spilled);
   ExpectBitwiseEqual(refreshed_spill, refreshed_ram,
-                     "refresh mmap vs in-RAM");
+                     "refresh spill vs in-RAM");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Shared fixtures for the algorithm tests: the paper's Figure 1 running
-// example and small SBM instances; and a container stream rewriter for the
-// loaders' rejection tests.
+// example, small SBM instances, their affinity slabs and init options; and a
+// container stream rewriter for the loaders' rejection tests.
 #pragma once
 
 #include <functional>
@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/core/affinity_engine.h"
+#include "src/core/greedy_init.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/store/container.h"
@@ -51,6 +53,30 @@ inline AttributedGraph SmallSbm(uint64_t seed = 12, int64_t n = 400,
   params.undirected = undirected;
   params.seed = seed;
   return GenerateAttributedSbm(params);
+}
+
+/// (F', B') of `g` through the production engine, serial and in RAM, with
+/// t derived from (epsilon, alpha) as Pane::Train derives it.
+inline AffinitySlabs GraphAffinity(const AttributedGraph& g,
+                                   double alpha = 0.5,
+                                   double epsilon = 0.015) {
+  AffinityEngineOptions options;
+  options.alpha = alpha;
+  options.t = ComputeIterationCount(epsilon, alpha);
+  AffinitySlabs affinity;
+  PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity));
+  return affinity;
+}
+
+/// Options for the init family's slab entry points, in-RAM residuals.
+inline InitOptions MakeInitOptions(int k, int t, ThreadPool* pool = nullptr,
+                                   uint64_t seed = 42) {
+  InitOptions options;
+  options.k = k;
+  options.t = t;
+  options.pool = pool;
+  options.seed = seed;
+  return options;
 }
 
 /// Rewrites the store:: container at `path` with `edit` applied to the
