@@ -172,6 +172,14 @@ struct ServeTelemetry {
   double metrics_overhead_pct = 0.0;
   int64_t stage_scan_count = 0, stage_fanout_count = 0;
   std::string metrics_dump;  ///< the local-shards=2 registry exposition
+  struct ConcurrentRow {
+    int connections = 0;
+    bool framed = false;
+    double qps = 0.0;
+    double p50_us = 0.0, p99_us = 0.0;
+    uint64_t cache_hits = 0;  ///< must read 0: the server runs uncached
+  };
+  std::vector<ConcurrentRow> concurrent;
 };
 
 // ---- TCP client for the concurrent-connections section ------------------
@@ -693,21 +701,26 @@ void Run(const std::string& json_path) {
   // Every connection runs on the single loop thread; the table shows how
   // round-trip QPS scales with open connections (the loop interleaves
   // them) and what the binary framing buys over newline scanning on the
-  // same conversation.
+  // same conversation. The result cache is off: each frame row replays its
+  // line row's seeds, so a cache would answer every frame query from the
+  // line run before it and the rows would compare hits with scans. Each
+  // row reports its cache hits, which must read 0.
   PrintHeader("Concurrent serving",
               "epoll transport, attr round-trips per connection, line vs "
-              "frame wire");
+              "frame wire, cache off");
   serve::ServerOptions server_options;
+  server_options.cache_capacity = 0;
   serve::PaneServer server(&*pooled_engine, server_options);
   const auto port = server.ListenTcp(0);
   PANE_CHECK(port.ok()) << port.status();
   std::thread loop([&server] { server.AcceptLoop(); });
   const int64_t per_conn = std::max<int64_t>(32, 2000000 / n);
-  PrintRow("connections / wire", {"QPS", "p50", "p99"});
+  PrintRow("connections / wire", {"QPS", "p50", "p99", "cache hits"});
   for (const int connections : {1, 4, 16}) {
     for (const bool framed : {false, true}) {
       std::vector<std::vector<double>> times(
           static_cast<size_t>(connections));
+      const uint64_t hits_before = server.counters().cache_hits;
       WallTimer wall;
       std::vector<std::thread> clients;
       clients.reserve(static_cast<size_t>(connections));
@@ -723,10 +736,18 @@ void Run(const std::string& json_path) {
       std::vector<double> all;
       for (const auto& t : times) all.insert(all.end(), t.begin(), t.end());
       const Latency lat = Percentiles(std::move(all));
+      ServeTelemetry::ConcurrentRow row;
+      row.connections = connections;
+      row.framed = framed;
+      row.qps = connections * per_conn / seconds;
+      row.p50_us = lat.p50 * 1e6;
+      row.p99_us = lat.p99 * 1e6;
+      row.cache_hits = server.counters().cache_hits - hits_before;
       PrintRow(std::to_string(connections) +
                    (framed ? " conn frame" : " conn line"),
-               {QpsCell(connections * per_conn / seconds),
-                MicrosCell(lat.p50), MicrosCell(lat.p99)});
+               {QpsCell(row.qps), MicrosCell(lat.p50), MicrosCell(lat.p99),
+                std::to_string(row.cache_hits)});
+      telemetry.concurrent.push_back(row);
     }
   }
   server.Shutdown();
@@ -775,6 +796,18 @@ void Run(const std::string& json_path) {
             std::to_string(telemetry.stage_scan_count) + ",\n";
     json += "  \"stage_fanout_count\": " +
             std::to_string(telemetry.stage_fanout_count) + ",\n";
+    json += "  \"concurrent\": [";
+    for (size_t i = 0; i < telemetry.concurrent.size(); ++i) {
+      const auto& row = telemetry.concurrent[i];
+      json += i == 0 ? "\n" : ",\n";
+      json += "    {\"connections\": " + std::to_string(row.connections) +
+              ", \"wire\": \"" + (row.framed ? "frame" : "line") +
+              "\", \"qps\": " + JsonNumber(row.qps) +
+              ", \"p50_us\": " + JsonNumber(row.p50_us) +
+              ", \"p99_us\": " + JsonNumber(row.p99_us) +
+              ", \"cache_hits\": " + std::to_string(row.cache_hits) + "}";
+    }
+    json += "\n  ],\n";
     json += "  \"metrics_dump\": \"" + JsonEscape(telemetry.metrics_dump) +
             "\"\n";
     json += "}";

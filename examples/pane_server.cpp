@@ -74,8 +74,10 @@ int main(int argc, char** argv) {
   flags.AddString("graph", "",
                   "optional graph for recommendation mode: known attributes "
                   "/ existing out-edges of the query node are skipped");
-  flags.AddInt("port", 0, "TCP port to listen on (0 = serve stdin/stdout; "
-                          "loopback only)");
+  flags.AddInt("port", -1,
+               "TCP port to listen on, loopback only (0 = any free port, "
+               "named in the 'listening on' line; negative = serve "
+               "stdin/stdout)");
   flags.AddString("protocol", "auto",
                   "wire format: 'line' (newline-delimited text), 'frame' "
                   "(length-prefixed binary), or 'auto' (sniff per "
@@ -326,7 +328,7 @@ int main(int argc, char** argv) {
   }
 
   const int64_t port = flags.GetInt("port");
-  if (port == 0) {
+  if (port < 0) {
     server->ServeStream(std::cin, std::cout);
   } else {
     const auto bound = server->ListenTcp(static_cast<int>(port));

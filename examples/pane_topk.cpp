@@ -7,7 +7,7 @@
 // pane_server (exact mode) and to pane_topk over the same artifact and
 // `diff` the outputs — they must be byte-identical, since both paths
 // produce bitwise-equal scores and rank under the same (score desc, index
-// asc) order. The serve-smoke CI job does exactly that. Don't script
+// asc) order. tests/e2e/serve.sh does exactly that. Don't script
 // `stats` into a diffed run; it is server-side only.
 //
 // With --protocol=frame the same conversation runs over the binary
@@ -86,7 +86,8 @@ std::string Respond(const pane::PaneEmbedding& embedding,
   }
   if (r.type == Request::Type::kPlan) {
     // Same full-range 0/1 plan an unsharded pane_server reports, so the
-    // shard-smoke differential can script `plan` through both sides.
+    // shard differential (tests/e2e/shard.sh) can script `plan` through
+    // both sides.
     pane::serve::ShardSpec spec;
     spec.shard_index = 0;
     spec.shard_count = 1;

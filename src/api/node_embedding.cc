@@ -120,9 +120,8 @@ Result<NodeEmbedding> NodeEmbedding::Load(const std::string& path) {
     return Status::InvalidArgument(
         "container " + path + " holds no embedding artifact");
   }
-  PANE_ASSIGN_OR_RETURN(
-      store::EmbeddingExtents extents,
-      store::ReadEmbeddingStreams(container, /*verify_payloads=*/true));
+  PANE_ASSIGN_OR_RETURN(store::EmbeddingExtents extents,
+                        store::ReadEmbeddingStreams(container));
   PANE_RETURN_NOT_OK(fmt::ValidateConventionCodes(
       extents.link_convention, extents.attribute_convention, path));
   NodeEmbedding e;

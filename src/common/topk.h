@@ -1,6 +1,6 @@
-// Deterministic top-k selection shared by the offline ranking helpers
-// (src/tasks/ranking.h) and the serving-side query engine
-// (src/serve/query_engine.h). Both paths rank by the same strict total
+// Deterministic top-k selection shared by the serving-side query engine
+// (src/serve/query_engine.h), the router's merge, and the offline
+// reference scan (pane_topk). All of them rank by the same strict total
 // order — score descending, index ascending — so the same (index, score)
 // stream produces the same top-k whichever selection algorithm runs, and
 // results are reproducible across thread counts, tile widths, and batch

@@ -1,6 +1,5 @@
 #include "src/serve/embedding_store.h"
 
-#include <cmath>
 #include <memory>
 
 #include "src/store/embedding_pages.h"
@@ -16,51 +15,30 @@ ConstMatrixView ViewOf(const store::MatrixExtent& e) {
 
 }  // namespace
 
-FloatMatrix ToFloatMatrix(ConstMatrixView m, bool l2_normalize) {
-  FloatMatrix out;
-  out.Resize(m.rows(), m.cols());
-  for (int64_t i = 0; i < m.rows(); ++i) {
-    const double* src = m.Row(i);
-    float* dst = out.MutableRow(i);
-    double norm_sq = 0.0;
-    for (int64_t j = 0; j < m.cols(); ++j) norm_sq += src[j] * src[j];
-    const double inv =
-        (l2_normalize && norm_sq > 0.0) ? 1.0 / std::sqrt(norm_sq) : 1.0;
-    for (int64_t j = 0; j < m.cols(); ++j) {
-      dst[j] = static_cast<float>(src[j] * inv);
-    }
-  }
-  return out;
-}
-
-Result<EmbeddingStore> EmbeddingStore::Open(
-    const std::string& path, const EmbeddingStoreOptions& options) {
+Result<EmbeddingStore> EmbeddingStore::Open(const std::string& path) {
   EmbeddingStore store;
   PANE_ASSIGN_OR_RETURN(store::Container container,
                         store::Container::Open(path));
   store.container_ = std::make_unique<store::Container>(std::move(container));
   if (store::HasShardStreams(*store.container_)) {
     // One shard of a split artifact: full xf/xb, y/z slices, no features.
-    PANE_ASSIGN_OR_RETURN(
-        store::ShardExtents extents,
-        store::ReadShardStreams(*store.container_, options.verify_checksums));
+    PANE_ASSIGN_OR_RETURN(store::ShardExtents extents,
+                          store::ReadShardStreams(*store.container_));
     store.shard_ = std::make_unique<store::ShardMeta>(extents.meta);
     store.method_ = store.shard_->method;
     store.xf_ = ViewOf(extents.xf);
     store.xb_ = ViewOf(extents.xb);
     store.y_ = ViewOf(extents.y);
     store.z_ = ViewOf(extents.z);
-    PANE_RETURN_NOT_OK(store.FinishOpen(path, options));
+    PANE_RETURN_NOT_OK(store.FinishOpen(path));
     return store;
   }
   if (!store::HasEmbeddingStreams(*store.container_)) {
     return Status::InvalidArgument("container " + path +
                                    " holds no embedding artifact");
   }
-  PANE_ASSIGN_OR_RETURN(
-      store::EmbeddingExtents extents,
-      store::ReadEmbeddingStreams(*store.container_,
-                                  options.verify_checksums));
+  PANE_ASSIGN_OR_RETURN(store::EmbeddingExtents extents,
+                        store::ReadEmbeddingStreams(*store.container_));
   PANE_RETURN_NOT_OK(embedding_format::ValidateConventionCodes(
       extents.link_convention, extents.attribute_convention, path));
   store.method_ = std::move(extents.method);
@@ -72,12 +50,11 @@ Result<EmbeddingStore> EmbeddingStore::Open(
   store.xf_ = ViewOf(extents.xf);
   store.xb_ = ViewOf(extents.xb);
   store.y_ = ViewOf(extents.y);
-  PANE_RETURN_NOT_OK(store.FinishOpen(path, options));
+  PANE_RETURN_NOT_OK(store.FinishOpen(path));
   return store;
 }
 
-Status EmbeddingStore::FinishOpen(const std::string& path,
-                                  const EmbeddingStoreOptions& options) {
+Status EmbeddingStore::FinishOpen(const std::string& path) {
   // Cross-matrix consistency. Shard artifacts carry no features block —
   // their shapes were already validated against the shard meta's declared
   // ranges by ReadShardStreams — so only the factor relations apply.
@@ -97,19 +74,6 @@ Status EmbeddingStore::FinishOpen(const std::string& path,
   if (y_.rows() > 0 && (!has_xf || y_.cols() != xf_.cols())) {
     return Status::InvalidArgument(
         "attribute factor inconsistent with node factors in: " + path);
-  }
-
-  if (options.float_copies) {
-    const bool norm = options.l2_normalize_floats;
-    if (has_node_factors()) {
-      xf_f32_ = ToFloatMatrix(xf_, norm);
-      xb_f32_ = ToFloatMatrix(xb_, norm);
-      if (y_.rows() > 0) {
-        y_f32_ = ToFloatMatrix(y_, norm);
-      }
-    } else {
-      features_f32_ = ToFloatMatrix(features_, norm);
-    }
   }
   return Status::OK();
 }

@@ -4,24 +4,17 @@
 // that NodeEmbedding::SaveContainer (or pane_shardctl, for one shard) wrote
 // read-only (PROT_READ, MAP_SHARED): the doubles are backed by the page
 // cache, every server process mapping the same artifact shares one physical
-// copy, and opening costs O(header) plus the checksum pass it is asked for.
+// copy, and opening costs O(header) plus one checksum pass over the pages.
 // The file descriptor is closed at open time, so the store keeps working
 // after the path is unlinked or rotated from under it.
 //
 // Container stream payloads are page-aligned, so every factor view points
 // straight into the mapping: nothing is copied at open.
-//
-// For bandwidth-bound scoring (the pruned IVF scan), the store can
-// additionally materialize single-precision copies of the factor blocks,
-// optionally L2-normalized per row (cosine scoring for inner-product
-// artifacts). Exact-mode scoring never touches these: it reads the mapped
-// doubles so served results stay bitwise identical to the offline path.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/api/embedding_format.h"
 #include "src/common/status.h"
@@ -31,36 +24,6 @@
 
 namespace pane {
 namespace serve {
-
-/// \brief Row-major single-precision matrix (the store's bandwidth-bound
-/// scoring copies; also the IVF index's candidate/centroid storage).
-struct FloatMatrix {
-  std::vector<float> data;
-  int64_t rows = 0;
-  int64_t cols = 0;
-
-  bool empty() const { return rows * cols == 0; }
-  const float* Row(int64_t i) const { return data.data() + i * cols; }
-  float* MutableRow(int64_t i) { return data.data() + i * cols; }
-  void Resize(int64_t r, int64_t c) {
-    rows = r;
-    cols = c;
-    data.assign(static_cast<size_t>(r * c), 0.0f);
-  }
-};
-
-struct EmbeddingStoreOptions {
-  /// Build single-precision copies of xf / xb / y (and features when no
-  /// factor blocks are present) at open.
-  bool float_copies = false;
-  /// L2-normalize each row of the float copies (unit vectors; inner product
-  /// becomes cosine). Zero rows are left zero.
-  bool l2_normalize_floats = false;
-  /// CRC32C-verify each matrix stream's pages at open. Verification touches (faults) every page of every stream; turn it
-  /// off when the store should serve a subset of the blocks — e.g. Y only —
-  /// without ever faulting Xf / Xb.
-  bool verify_checksums = true;
-};
 
 class EmbeddingStore {
  public:
@@ -74,11 +37,9 @@ class EmbeddingStore {
   /// NodeEmbedding::SaveContainer) or one shard of it (pane_shardctl). Every
   /// shape is validated against its stream's payload, so a corrupt artifact
   /// yields a Status, never an OOM or an out-of-bounds read; a file that is
-  /// not a container is InvalidArgument. The checksum policy is
-  /// options.verify_checksums.
-  static Result<EmbeddingStore> Open(const std::string& path,
-                                     const EmbeddingStoreOptions& options =
-                                         EmbeddingStoreOptions());
+  /// not a container is InvalidArgument. Every stream's pages are
+  /// CRC32C-verified at open.
+  static Result<EmbeddingStore> Open(const std::string& path);
 
   const std::string& method() const { return method_; }
   LinkConvention link_convention() const { return link_convention_; }
@@ -128,15 +89,8 @@ class EmbeddingStore {
                      static_cast<int64_t>(container_->page_size());
   }
 
-  /// Single-precision copies (empty unless float_copies was requested).
-  const FloatMatrix& features_f32() const { return features_f32_; }
-  const FloatMatrix& xf_f32() const { return xf_f32_; }
-  const FloatMatrix& xb_f32() const { return xb_f32_; }
-  const FloatMatrix& y_f32() const { return y_f32_; }
-
  private:
-  Status FinishOpen(const std::string& path,
-                    const EmbeddingStoreOptions& options);
+  Status FinishOpen(const std::string& path);
 
   // Holds the mapping every view points into.
   std::unique_ptr<store::Container> container_;
@@ -146,12 +100,7 @@ class EmbeddingStore {
   std::string method_;
   LinkConvention link_convention_ = LinkConvention::kInnerProduct;
   AttributeConvention attribute_convention_ = AttributeConvention::kCentroid;
-  FloatMatrix features_f32_, xf_f32_, xb_f32_, y_f32_;
 };
-
-/// \brief Single-precision copy of `m`, optionally L2-normalizing each row
-/// (norms computed in double). Exposed for tests and the IVF builder.
-FloatMatrix ToFloatMatrix(ConstMatrixView m, bool l2_normalize);
 
 }  // namespace serve
 }  // namespace pane

@@ -56,15 +56,23 @@ int64_t NearestCentroid(const FloatMatrix& centroids, const float* row) {
   return best;
 }
 
-}  // namespace
-
-Result<IvfIndex> IvfIndex::Build(ConstMatrixView candidates,
-                                 const IvfOptions& options) {
-  return Build(ToFloatMatrix(candidates, /*l2_normalize=*/false), options);
+/// Single-precision copy of `m`: the index clusters and scans in float.
+FloatMatrix ToFloatMatrix(ConstMatrixView m) {
+  FloatMatrix out;
+  out.Resize(m.rows(), m.cols());
+  for (int64_t i = 0; i < m.rows(); ++i) {
+    const double* src = m.Row(i);
+    float* dst = out.MutableRow(i);
+    for (int64_t j = 0; j < m.cols(); ++j) dst[j] = static_cast<float>(src[j]);
+  }
+  return out;
 }
 
-Result<IvfIndex> IvfIndex::Build(const FloatMatrix& candidates,
+}  // namespace
+
+Result<IvfIndex> IvfIndex::Build(ConstMatrixView candidate_rows,
                                  const IvfOptions& options) {
+  const FloatMatrix candidates = ToFloatMatrix(candidate_rows);
   const int64_t n = candidates.rows;
   const int64_t dim = candidates.cols;
   if (n == 0 || dim == 0) {

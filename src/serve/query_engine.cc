@@ -173,8 +173,7 @@ Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
   const BlockShape shape = DeriveBlockShape(options, h);
   engine.query_block_ = shape.query_block;
   engine.candidate_tile_ = shape.candidate_tile;
-  if (z.rows() == 0 && options.precompute_link_gram && xb.rows() > 0 &&
-      y.rows() > 0) {
+  if (z.rows() == 0 && xb.rows() > 0 && y.rows() > 0) {
     // The derivation EdgeScorer runs, so p(u, w) matches it bitwise.
     LinkCandidateRows(xb, y, &engine.z_owned_);
     engine.z_ = engine.z_owned_.View();

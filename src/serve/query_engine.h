@@ -8,10 +8,9 @@
 // partial sums combined as (s0+s1)+(s2+s3), then the ascending tail): a
 // block kernel vectorizing across the queries of a block, and a rows
 // kernel for a lone query that vectorizes across each row's partial sums.
-// A served batch therefore returns bitwise the same scores as the offline
-// per-query helpers in src/tasks/ranking.h (which are themselves thin
-// wrappers over this engine), independent of batch size, block width, or
-// thread count. Selection is a per-query bounded heap under the
+// A served batch therefore returns bitwise the same scores as an offline
+// per-pair Dot scan, independent of batch size, block width, or thread
+// count. Selection is a per-query bounded heap under the
 // deterministic ranking order of src/common/topk.h instead of a sort over
 // all candidates.
 //
@@ -72,9 +71,6 @@ struct QueryEngineOptions {
   int64_t query_block = 0;
   /// Explicit candidate-tile override (tests); 0 = derive from the budget.
   int64_t candidate_tile = 0;
-  /// Precompute Z = Xb (Y^T Y) at Create when no `z` view is supplied
-  /// (required for link queries; skip for attribute-only engines).
-  bool precompute_link_gram = true;
   /// Optional registry for the engine's work metrics (pane_engine_*:
   /// tiles-scanned and IVF candidates scanned / pruned). Null disables
   /// them; the registry must outlive the engine. Recording goes through
@@ -112,10 +108,9 @@ class QueryEngine {
 
   /// Builds an engine over factor views (xf / xb: n x h, y: d x h, z: n x
   /// h or empty). The viewed storage must outlive the engine. When `z` is
-  /// empty and xb / y are present and precompute_link_gram is set, Z is
-  /// derived here with the same kernels EdgeScorer uses, so link scores
-  /// match it bitwise; when `z` is supplied (e.g. EdgeScorer::z()) it is
-  /// used as-is.
+  /// empty and xb / y are present, Z = Xb (Y^T Y) is derived here with the
+  /// same kernels EdgeScorer uses, so link scores match it bitwise; when
+  /// `z` is supplied (e.g. EdgeScorer::z()) it is used as-is.
   static Result<QueryEngine> Create(ConstMatrixView xf, ConstMatrixView xb,
                                     ConstMatrixView y, ConstMatrixView z,
                                     const QueryEngineOptions& options);
@@ -147,7 +142,7 @@ class QueryEngine {
 
   /// Batched Eq. 21 top-k attributes. `exclude` skips attributes already
   /// associated with the query node in that graph. Results per query are
-  /// identical to the offline TopKAttributes helper. A non-null
+  /// independent of the batch they ride in. A non-null
   /// `call_stats` receives the scan/select timing split for this call
   /// (timing is only taken when requested, so the default path pays no
   /// clock reads).

@@ -5,7 +5,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/timer.h"
-#include "src/matrix/gemm.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/embedding_store.h"
 #include "src/serve/frame_protocol.h"
@@ -365,57 +364,21 @@ Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
                                     const QueryEngineOptions& engine_options,
                                     const ServerOptions& shard_options,
                                     const IvfOptions* ivf) {
-  if (num_shards <= 0) {
-    return Status::InvalidArgument("shard count must be positive");
-  }
-  if (store.sharded()) {
-    return Status::InvalidArgument(
-        "store already holds one shard; local fleets cut an unsharded "
-        "artifact");
-  }
-  if (!store.has_attribute_factors()) {
-    return Status::InvalidArgument(
-        "sharding needs the xf/xb/y factor blocks (artifact method '" +
-        store.method() + "' lacks them)");
-  }
-  const ConstMatrixView xf = store.xf();
-  const ConstMatrixView xb = store.xb();
-  const ConstMatrixView y = store.y();
-  const int64_t n = xf.rows();
-  const int64_t d = y.rows();
-  const int64_t h = xf.cols();
-
   LocalFleet fleet;
-  // Full Z once, then row slices: bitwise the unsharded engine's Z.
-  LinkCandidateRows(xb, y, &fleet.z);
-
-  const ShardPlan plan = MakeShardPlan(n, d, num_shards);
-  for (const ShardSpec& ranges : plan.shards) {
-    ShardSpec spec = ranges;
-    spec.dim = h;
-    spec.has_attributes = true;
-    spec.has_links = true;
-    spec.method = store.method();
-    ConstMatrixView y_slice, z_slice;
-    if (spec.attr_end > spec.attr_begin) {
-      y_slice = ConstMatrixView(y.Row(spec.attr_begin),
-                                spec.attr_end - spec.attr_begin, h);
-    }
-    if (spec.node_end > spec.node_begin) {
-      z_slice = ConstMatrixView(fleet.z.Row(spec.node_begin),
-                                spec.node_end - spec.node_begin, h);
-    }
+  PANE_ASSIGN_OR_RETURN(std::vector<ShardSlice> slices,
+                        CutShards(store, num_shards, &fleet.z));
+  for (const ShardSlice& slice : slices) {
     PANE_ASSIGN_OR_RETURN(
         QueryEngine engine,
-        QueryEngine::CreateSharded(xf, xb, y_slice, z_slice, spec,
-                                   engine_options));
+        QueryEngine::CreateSharded(store.xf(), store.xb(), slice.y, slice.z,
+                                   slice.spec, engine_options));
     auto owned = std::make_unique<QueryEngine>(std::move(engine));
     if (ivf != nullptr) {
       PANE_RETURN_NOT_OK(owned->BuildPrunedIndex(*ivf));
     }
     fleet.backends.push_back(std::make_unique<LocalShard>(
         owned.get(), shard_options,
-        static_cast<int>(spec.shard_index)));
+        static_cast<int>(slice.spec.shard_index)));
     fleet.engines.push_back(std::move(owned));
   }
   return fleet;

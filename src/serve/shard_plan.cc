@@ -106,59 +106,72 @@ Status ValidateShardSpecs(const std::vector<ShardSpec>& specs,
   return Status::OK();
 }
 
-Status SplitEmbeddingArtifact(const std::string& input_path,
-                              const std::string& out_prefix, int num_shards,
-                              std::vector<std::string>* out_paths) {
+Result<std::vector<ShardSlice>> CutShards(const EmbeddingStore& store,
+                                          int num_shards, DenseMatrix* z) {
   if (num_shards <= 0) {
     return Status::InvalidArgument("shard count must be positive");
   }
-  PANE_ASSIGN_OR_RETURN(EmbeddingStore store,
-                        EmbeddingStore::Open(input_path));
   if (store.sharded()) {
-    return Status::InvalidArgument(input_path +
-                                   " is already a shard container");
+    return Status::InvalidArgument(
+        "store already holds one shard; shards are cut from an unsharded "
+        "artifact");
   }
   if (!store.has_attribute_factors()) {
     return Status::InvalidArgument(
         "sharding needs the xf/xb/y factor blocks (artifact method '" +
         store.method() + "' lacks them)");
   }
-  const ConstMatrixView xf = store.xf();
-  const ConstMatrixView xb = store.xb();
   const ConstMatrixView y = store.y();
-  const int64_t n = xf.rows();
-  const int64_t d = y.rows();
-  const int64_t h = xf.cols();
+  const int64_t h = y.cols();
+  LinkCandidateRows(store.xb(), y, z);
 
-  // Derive the full Z once with the derivation the unsharded engine runs,
-  // then slice rows: Gemm fills each output row independently, so shard
-  // slices are bitwise the unsharded Z rows.
-  DenseMatrix z;
-  LinkCandidateRows(xb, y, &z);
-
-  const ShardPlan plan = MakeShardPlan(n, d, num_shards);
+  const ShardPlan plan = MakeShardPlan(store.xf().rows(), y.rows(),
+                                       num_shards);
+  std::vector<ShardSlice> slices;
+  slices.reserve(plan.shards.size());
   for (const ShardSpec& ranges : plan.shards) {
-    store::ShardExtents extents;
-    extents.meta = ranges;
-    extents.meta.dim = h;
-    extents.meta.has_attributes = true;
-    extents.meta.has_links = true;
-    extents.meta.method = store.method();
-    extents.xf = {xf.Row(0), n, h};
-    extents.xb = {xb.Row(0), n, h};
+    ShardSlice slice;
+    slice.spec = ranges;
+    slice.spec.dim = h;
+    slice.spec.has_attributes = true;
+    slice.spec.has_links = true;
+    slice.spec.method = store.method();
     if (ranges.attr_end > ranges.attr_begin) {
-      extents.y = {y.Row(ranges.attr_begin), ranges.attr_end - ranges.attr_begin,
-                   h};
+      slice.y = ConstMatrixView(y.Row(ranges.attr_begin),
+                                ranges.attr_end - ranges.attr_begin, h);
     }
     if (ranges.node_end > ranges.node_begin) {
-      extents.z = {z.Row(ranges.node_begin),
-                   ranges.node_end - ranges.node_begin, h};
+      slice.z = ConstMatrixView(z->Row(ranges.node_begin),
+                                ranges.node_end - ranges.node_begin, h);
     }
+    slices.push_back(std::move(slice));
+  }
+  return slices;
+}
+
+Status SplitEmbeddingArtifact(const std::string& input_path,
+                              const std::string& out_prefix, int num_shards,
+                              std::vector<std::string>* out_paths) {
+  PANE_ASSIGN_OR_RETURN(EmbeddingStore store,
+                        EmbeddingStore::Open(input_path));
+  DenseMatrix z;
+  PANE_ASSIGN_OR_RETURN(std::vector<ShardSlice> slices,
+                        CutShards(store, num_shards, &z));
+  const auto extent = [](ConstMatrixView m) {
+    return store::MatrixExtent{m.data(), m.rows(), m.cols()};
+  };
+  for (const ShardSlice& slice : slices) {
+    store::ShardExtents extents;
+    extents.meta = slice.spec;
+    extents.xf = extent(store.xf());
+    extents.xb = extent(store.xb());
+    extents.y = extent(slice.y);
+    extents.z = extent(slice.z);
     store::ContainerWriter writer;
     std::string meta_buf;
     PANE_RETURN_NOT_OK(store::AppendShardStreams(extents, &meta_buf, &writer));
     const std::string path =
-        out_prefix + "." + std::to_string(ranges.shard_index);
+        out_prefix + "." + std::to_string(slice.spec.shard_index);
     PANE_RETURN_NOT_OK(writer.WriteTo(path));
     if (out_paths != nullptr) out_paths->push_back(path);
   }

@@ -18,10 +18,13 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/matrix/dense_matrix.h"
 #include "src/store/shard_pages.h"
 
 namespace pane {
 namespace serve {
+
+class EmbeddingStore;
 
 /// A shard's identity and held ranges — the store-layer meta doubles as the
 /// serving-layer spec (it carries exactly the fields a shard engine and the
@@ -49,11 +52,29 @@ ShardPlan MakeShardPlan(int64_t num_nodes, int64_t num_attributes,
 Status ValidateShardSpecs(const std::vector<ShardSpec>& specs,
                           ShardPlan* plan);
 
+/// One shard of a cut: its spec (plan ranges plus dim, capability flags
+/// and method) and its Y / Z row slices (empty views when its range is).
+struct ShardSlice {
+  ShardSpec spec;
+  ConstMatrixView y;
+  ConstMatrixView z;
+};
+
+/// Cuts an unsharded store into `num_shards` slices per MakeShardPlan: the
+/// one shard cut behind both local fleets (BuildLocalShards) and shard
+/// containers (SplitEmbeddingArtifact). The full Z = Xb (Y^T Y) is derived
+/// once into *z with LinkCandidateRows, as the unsharded engine does, and
+/// row-sliced; Gemm fills each output row independently, so every slice
+/// holds bitwise the unsharded engine's rows. The slices view `store` and
+/// *z, which must outlive them. Refuses a non-positive shard count, a store
+/// that already holds one shard, and an artifact without xf/xb/y blocks.
+Result<std::vector<ShardSlice>> CutShards(const EmbeddingStore& store,
+                                          int num_shards, DenseMatrix* z);
+
 /// Splits an embedding container (NodeEmbedding::SaveContainer) into
-/// `num_shards` shard containers "<out_prefix>.<i>". The full Z = Xb (Y^T Y)
-/// is derived once with LinkCandidateRows, as the unsharded engine does,
-/// and row-sliced, so every shard's link scores are bitwise the unsharded
-/// engine's. Appends the written paths to *out_paths when non-null.
+/// `num_shards` shard containers "<out_prefix>.<i>" (CutShards: every
+/// shard's link scores are bitwise the unsharded engine's). Appends the
+/// written paths to *out_paths when non-null.
 Status SplitEmbeddingArtifact(const std::string& input_path,
                               const std::string& out_prefix, int num_shards,
                               std::vector<std::string>* out_paths);

@@ -48,7 +48,7 @@ Status CheckShape(const std::string& name, int64_t rows, int64_t cols,
 /// (must NOT exist — a stray stream means the artifact is inconsistent).
 Status ResolveMatrix(const Container& container, const std::string& name,
                      int64_t rows, int64_t cols, bool expected,
-                     bool verify_payloads, MatrixExtent* out) {
+                     MatrixExtent* out) {
   PANE_RETURN_NOT_OK(CheckShape(name, rows, cols, container.path()));
   if (!expected) {
     if (container.Contains(name)) {
@@ -67,9 +67,7 @@ Status ResolveMatrix(const Container& container, const std::string& name,
     return Status::IOError("container " + container.path() + " stream '" +
                            name + "' is present but has an empty shape");
   }
-  Result<Container::StreamView> view_result =
-      verify_payloads ? container.Read(name) : container.Peek(name);
-  PANE_ASSIGN_OR_RETURN(Container::StreamView view, std::move(view_result));
+  PANE_ASSIGN_OR_RETURN(Container::StreamView view, container.Read(name));
   if (!ShapeFillsPayload(rows, cols, view.bytes)) {
     return Status::IOError(
         "container " + container.path() + " stream '" + name + "' holds " +
@@ -149,8 +147,7 @@ Status AppendEmbeddingStreams(const EmbeddingExtents& embedding,
   return Status::OK();
 }
 
-Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container,
-                                              bool verify_payloads) {
+Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container) {
   PANE_ASSIGN_OR_RETURN(Container::StreamView meta,
                         container.Read(kEmbMetaStream));
   const std::string& path = container.path();
@@ -191,16 +188,16 @@ Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container,
 
   PANE_RETURN_NOT_OK(ResolveMatrix(container, kEmbFeaturesStream, shapes[0],
                                    shapes[1], /*expected=*/true,
-                                   verify_payloads, &out.features));
+                                   &out.features));
   PANE_RETURN_NOT_OK(ResolveMatrix(container, kEmbXfStream, shapes[2],
                                    shapes[3], (mask & kMaskXf) != 0,
-                                   verify_payloads, &out.xf));
+                                   &out.xf));
   PANE_RETURN_NOT_OK(ResolveMatrix(container, kEmbXbStream, shapes[4],
                                    shapes[5], (mask & kMaskXb) != 0,
-                                   verify_payloads, &out.xb));
+                                   &out.xb));
   PANE_RETURN_NOT_OK(ResolveMatrix(container, kEmbYStream, shapes[6],
                                    shapes[7], (mask & kMaskY) != 0,
-                                   verify_payloads, &out.y));
+                                   &out.y));
   return out;
 }
 

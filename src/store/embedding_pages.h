@@ -78,11 +78,9 @@ Status AppendEmbeddingStreams(const EmbeddingExtents& embedding,
 
 /// Decodes and validates the embedding streams of an opened container:
 /// meta version, presence mask vs. actual streams, and shape-vs-payload
-/// agreement for every matrix. With `verify_payloads` the matrix pages are
-/// checksummed now (Container::Read); without it they are only located
-/// (Container::Peek), leaving faults and verification to the consumer.
-Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container,
-                                              bool verify_payloads);
+/// agreement for every matrix. Every matrix stream's pages are checksummed
+/// (Container::Read).
+Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container);
 
 /// True iff the container holds an embedding artifact (has emb.meta).
 inline bool HasEmbeddingStreams(const Container& container) {

@@ -40,8 +40,7 @@ Status CheckRange(const char* what, int64_t begin, int64_t end, int64_t limit,
 /// Fetches one matrix stream whose expected shape is fully determined by
 /// the meta (rows may be 0, meaning the stream must be absent).
 Status ResolveSlice(const Container& container, const std::string& name,
-                    int64_t rows, int64_t cols, bool verify_payloads,
-                    MatrixExtent* out) {
+                    int64_t rows, int64_t cols, MatrixExtent* out) {
   if (rows == 0) {
     if (container.Contains(name)) {
       return Status::IOError("container " + container.path() + " stream '" +
@@ -50,9 +49,7 @@ Status ResolveSlice(const Container& container, const std::string& name,
     *out = MatrixExtent{};
     return Status::OK();
   }
-  Result<Container::StreamView> view_result =
-      verify_payloads ? container.Read(name) : container.Peek(name);
-  PANE_ASSIGN_OR_RETURN(Container::StreamView view, std::move(view_result));
+  PANE_ASSIGN_OR_RETURN(Container::StreamView view, container.Read(name));
   if (!ShapeFillsPayload(rows, cols, view.bytes)) {
     return Status::IOError(
         "container " + container.path() + " stream '" + name + "' holds " +
@@ -139,8 +136,7 @@ Status AppendShardStreams(const ShardExtents& shard, std::string* meta_buf,
   return Status::OK();
 }
 
-Result<ShardExtents> ReadShardStreams(const Container& container,
-                                      bool verify_payloads) {
+Result<ShardExtents> ReadShardStreams(const Container& container) {
   PANE_ASSIGN_OR_RETURN(Container::StreamView meta,
                         container.Read(kShardMetaStream));
   const std::string& path = container.path();
@@ -200,15 +196,13 @@ Result<ShardExtents> ReadShardStreams(const Container& container,
                                 m.num_attributes, path));
 
   PANE_RETURN_NOT_OK(ResolveSlice(container, kShardXfStream, m.num_nodes,
-                                  m.dim, verify_payloads, &out.xf));
+                                  m.dim, &out.xf));
   PANE_RETURN_NOT_OK(ResolveSlice(container, kShardXbStream, m.num_nodes,
-                                  m.dim, verify_payloads, &out.xb));
+                                  m.dim, &out.xb));
   PANE_RETURN_NOT_OK(ResolveSlice(container, kShardYStream,
-                                  m.attr_end - m.attr_begin, m.dim,
-                                  verify_payloads, &out.y));
+                                  m.attr_end - m.attr_begin, m.dim, &out.y));
   PANE_RETURN_NOT_OK(ResolveSlice(container, kShardZStream,
-                                  m.node_end - m.node_begin, m.dim,
-                                  verify_payloads, &out.z));
+                                  m.node_end - m.node_begin, m.dim, &out.z));
   return out;
 }
 

@@ -79,9 +79,8 @@ Status AppendShardStreams(const ShardExtents& shard, std::string* meta_buf,
 /// Decodes and validates the shard streams of an opened container: meta
 /// version, range sanity (0 <= begin <= end <= global), shape-vs-payload
 /// agreement for every matrix, and slice shapes matching the declared
-/// ranges. With `verify_payloads` the matrix pages are checksummed now.
-Result<ShardExtents> ReadShardStreams(const Container& container,
-                                      bool verify_payloads);
+/// ranges. Every matrix stream's pages are checksummed (Container::Read).
+Result<ShardExtents> ReadShardStreams(const Container& container);
 
 /// True iff the container holds a shard artifact (has shard.meta).
 inline bool HasShardStreams(const Container& container) {

@@ -1,13 +1,13 @@
 // Tests for logistic regression, the edge-feature scoring convention, and
-// the top-k retrieval helpers.
+// top-k retrieval through the serving engine.
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
 #include "src/core/pane.h"
+#include "src/serve/query_engine.h"
 #include "src/tasks/link_prediction.h"
 #include "src/tasks/logistic.h"
 #include "src/tasks/node_classification.h"
-#include "src/tasks/ranking.h"
 #include "test_util.h"
 
 namespace pane {
@@ -91,11 +91,22 @@ TEST(EdgeFeatureTrainingTest, ImprovesLinkPredictionOverUntrained) {
   EXPECT_GE(trained.auc, untrained.auc - 0.02);
 }
 
+/// Exact engine over a trained embedding; it derives Z = Xb (Y^T Y) for
+/// the link queries.
+serve::QueryEngine MakeEngine(const PaneEmbedding& embedding) {
+  auto engine = serve::QueryEngine::Create(
+      embedding.xf.View(), embedding.xb.View(), embedding.y.View(),
+      ConstMatrixView(), serve::QueryEngineOptions());
+  EXPECT_TRUE(engine.ok()) << engine.status();
+  return engine.MoveValueUnsafe();
+}
+
 TEST(TopKAttributesTest, RanksOwnedAttributesHighly) {
   const AttributedGraph g = testing::SmallSbm(152, 300);
   PaneOptions options;
   options.k = 32;
   const auto embedding = Pane(options).Train(g).ValueOrDie();
+  const serve::QueryEngine engine = MakeEngine(embedding);
   // For most nodes, the #1 unexcluded attribute should come from the
   // node's own community block (homophilous construction).
   const int64_t d = g.num_attributes();
@@ -103,7 +114,7 @@ TEST(TopKAttributesTest, RanksOwnedAttributesHighly) {
   int64_t in_block = 0;
   const int64_t checked = 50;
   for (int64_t v = 0; v < checked; ++v) {
-    const Ranking top = TopKAttributes(embedding, v, 1);
+    const Ranking top = engine.TopKAttributes({{v, 1}})[0];
     ASSERT_EQ(top.size(), 1u);
     const int32_t cv = g.labels()[static_cast<size_t>(v)][0];
     if (top[0].first >= cv * d / c && top[0].first < (cv + 1) * d / c) {
@@ -118,7 +129,7 @@ TEST(TopKAttributesTest, ExcludeSkipsExisting) {
   PaneOptions options;
   options.k = 16;
   const auto embedding = Pane(options).Train(g).ValueOrDie();
-  const Ranking top = TopKAttributes(embedding, 0, 10, &g);
+  const Ranking top = MakeEngine(embedding).TopKAttributes({{0, 10}}, &g)[0];
   for (const auto& [attr, score] : top) {
     EXPECT_EQ(g.attributes().At(0, attr), 0.0) << "attr " << attr;
   }
@@ -129,8 +140,7 @@ TEST(TopKTargetsTest, SortedAndExcludesSelfAndEdges) {
   PaneOptions options;
   options.k = 16;
   const auto embedding = Pane(options).Train(g).ValueOrDie();
-  const EdgeScorer scorer(embedding);
-  const Ranking top = TopKTargets(embedding, scorer, 0, 10, &g);
+  const Ranking top = MakeEngine(embedding).TopKTargets({{0, 10}}, &g)[0];
   ASSERT_EQ(top.size(), 10u);
   for (size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(top[i - 1].second, top[i].second);
@@ -146,8 +156,7 @@ TEST(TopKTargetsTest, KLargerThanCandidates) {
   PaneOptions options;
   options.k = 4;
   const auto embedding = Pane(options).Train(g).ValueOrDie();
-  const EdgeScorer scorer(embedding);
-  const Ranking top = TopKTargets(embedding, scorer, 0, 100);
+  const Ranking top = MakeEngine(embedding).TopKTargets({{0, 100}})[0];
   EXPECT_EQ(top.size(), 5u);  // n - 1 candidates
 }
 

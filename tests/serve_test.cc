@@ -34,7 +34,6 @@
 #include "src/serve/line_protocol.h"
 #include "src/serve/query_engine.h"
 #include "src/serve/server.h"
-#include "src/tasks/ranking.h"
 #include "test_util.h"
 
 namespace pane {
@@ -527,21 +526,6 @@ TEST(QueryEngineTest, AttributeScoresMatchEq21) {
   }
 }
 
-// The offline helpers are wrappers over the engine; they must agree with
-// the independent reference exactly (including the deterministic order).
-TEST(RankingWrappersTest, MatchReferenceBitwise) {
-  const auto& f = TrainedFixture::Get();
-  const EdgeScorer scorer(f.embedding);
-  for (const int64_t v : {0, 17, 299}) {
-    ExpectSameRanking(ReferenceTopKAttributes(f.embedding, v, 12, &f.graph),
-                      TopKAttributes(f.embedding, v, 12, &f.graph),
-                      "wrapper attr");
-    ExpectSameRanking(
-        ReferenceTopKTargets(f.embedding, scorer, v, 12, &f.graph),
-        TopKTargets(f.embedding, scorer, v, 12, &f.graph), "wrapper link");
-  }
-}
-
 TEST(QueryEngineTest, CreateRejectsInconsistentShapes) {
   DenseMatrix xf(4, 3), xb(4, 2), y(5, 3), z(3, 3);
   EXPECT_FALSE(serve::QueryEngine::Create(ConstMatrixView(), xb.View(),
@@ -603,13 +587,6 @@ TEST_F(EmbeddingStoreTest, OpensContainerArtifactZeroCopy) {
   ExpectViewEqualsMatrix(store->xf(), artifact_.xf);
   ExpectViewEqualsMatrix(store->xb(), artifact_.xb);
   ExpectViewEqualsMatrix(store->y(), artifact_.y);
-  // Unverified open (the serving fast path that never faults pages it does
-  // not serve) must expose the same views.
-  serve::EmbeddingStoreOptions options;
-  options.verify_checksums = false;
-  auto unverified = serve::EmbeddingStore::Open(path_, options);
-  ASSERT_TRUE(unverified.ok()) << unverified.status();
-  ExpectViewEqualsMatrix(unverified->y(), artifact_.y);
 }
 
 TEST_F(EmbeddingStoreTest, StoreOutlivesUnlinkedFile) {
@@ -651,29 +628,6 @@ TEST_F(EmbeddingStoreTest, MappingIsReadOnly) {
     }
   }
   EXPECT_TRUE(found) << "mapping not found in /proc/self/maps";
-}
-
-TEST_F(EmbeddingStoreTest, FloatCopiesAndNormalization) {
-  serve::EmbeddingStoreOptions options;
-  options.float_copies = true;
-  auto store = serve::EmbeddingStore::Open(path_, options);
-  ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_EQ(store->xf_f32().rows, artifact_.xf.rows());
-  ASSERT_EQ(store->y_f32().cols, artifact_.y.cols());
-  EXPECT_EQ(store->xf_f32().Row(3)[1],
-            static_cast<float>(artifact_.xf(3, 1)));
-
-  options.l2_normalize_floats = true;
-  auto normalized = serve::EmbeddingStore::Open(path_, options);
-  ASSERT_TRUE(normalized.ok()) << normalized.status();
-  const serve::FloatMatrix& xf = normalized->xf_f32();
-  for (const int64_t row : {int64_t{0}, int64_t{7}}) {
-    double norm = 0.0;
-    for (int64_t j = 0; j < xf.cols; ++j) {
-      norm += static_cast<double>(xf.Row(row)[j]) * xf.Row(row)[j];
-    }
-    EXPECT_NEAR(norm, 1.0, 1e-5);
-  }
 }
 
 TEST_F(EmbeddingStoreTest, EngineOverStoreMatchesViewEngine) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates a Prometheus text exposition read from stdin (or a file arg).
 
-Used by the metrics-smoke CI job against the `metrics` verb of pane_server.
+Used by tests/e2e/metrics.sh against the `metrics` verb of pane_server.
 Checks, strictly:
   - every metric name matches [a-zA-Z_:][a-zA-Z0-9_:]*, labels parse as
     key="value" lists, sample values are integers or floats;
