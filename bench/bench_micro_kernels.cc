@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks for the kernels PANE's complexity
 // analysis is built on: SpMM (the O(md t) affinity phase), GEMM / RandSVD
-// (the O(ndk t) initialization), one CCD sweep (the O(ndk) refinement), and
-// the ablation of incremental residual maintenance (Equations 18-20)
-// against naive recomputation, and roofline rows for the serving engine's
-// two exact-scan dot kernels.
+// (the O(ndk t) initialization), one CCD sweep (the O(ndk) refinement) and
+// its tile kernel, the ablation of incremental residual maintenance
+// (Equations 18-20) against naive recomputation, and roofline rows for the
+// serving engine's two exact-scan dot kernels.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -20,6 +20,7 @@
 #include "src/matrix/gemm.h"
 #include "src/matrix/rand_svd.h"
 #include "src/matrix/spmm.h"
+#include "src/matrix/tile_gemm.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/dot_block.h"
 
@@ -210,6 +211,10 @@ void BM_ApmiIterationCost(benchmark::State& state) {
 }
 BENCHMARK(BM_ApmiIterationCost)->Arg(2000)->Arg(8000);
 
+// One serial sweep. "G mul-add/s" counts the sweep's 8 n d h mul-adds
+// (h = k/2: G = S Y and S -= M Y^T for Sf and Sb in phase 1, B^T = X^T S
+// and S -= X dY^T for both in phase 2); compare with the machine's peak
+// multiply-add rate. The timed loop includes copying the seed state.
 void BM_CcdSweep(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(state.range(0));
   const AffinitySlabs affinity = BenchAffinity(g);
@@ -220,8 +225,36 @@ void BM_CcdSweep(benchmark::State& state) {
     options.iterations = 1;
     benchmark::DoNotOptimize(CcdRefine(&working, options).ok());
   }
+  const double muladds = 8.0 * static_cast<double>(seed_state.sf.rows()) *
+                         static_cast<double>(seed_state.sf.cols()) *
+                         static_cast<double>(seed_state.y.cols());
+  state.counters["G mul-add/s"] = benchmark::Counter(
+      muladds * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CcdSweep)->Arg(2000)->Arg(4000);
+
+// CCD's tile kernel on phase 1's residual update S_tile -= M Y^T: a
+// 16-row tile of d = 1000 residual columns against h = 32 coordinates, all
+// in cache. items/s counts mul-adds (the kernel's roof is the machine's
+// peak multiply-add rate without FMA).
+void BM_TileGemmUpdate(benchmark::State& state) {
+  const int64_t rows = 16, d = 1000, h = 32;
+  Rng rng(6);
+  DenseMatrix s(rows, d), mu(rows, h), yt(h, d);
+  s.FillGaussian(&rng);
+  mu.FillGaussian(&rng);
+  yt.FillGaussian(&rng);
+  const TileGemmFn gemm = GetTileGemm();
+  for (auto _ : state) {
+    gemm(rows, d, h, mu.data(), h, 1, yt.data(), d, s.data(), d,
+         /*subtract=*/true);
+    benchmark::DoNotOptimize(s.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * d * h);
+}
+BENCHMARK(BM_TileGemmUpdate);
 
 // Ablation: the incremental residual maintenance of Equations (18)-(20)
 // vs recomputing Sf = Xf Y^T - F' from scratch after a sweep. The paper's

@@ -67,14 +67,14 @@ int main(int argc, char** argv) {
   flags.AddInt("threads", 4, "worker threads (1 = Algorithm 1)");
   flags.AddInt("memory-budget-mb", 0,
                "whole-pipeline memory budget in MiB (PANE): panel scratch, "
-               "CCD strips, and mmap-spill of the n x d factors when they "
-               "exceed it (0 = unbounded; see README \"Memory model & "
-               "tuning\")");
+               "the CCD release granule, and mmap-spill of the n x d factors "
+               "when they exceed it (0 = unbounded; see README \"Memory "
+               "model & tuning\")");
   flags.AddString("spill-dir", "",
                   "directory for factor spill files (default: temp dir)");
   flags.AddBool("verbose", false,
                 "log the engine decomposition (panel width/panels/scratch, "
-                "slab backing, CCD strips) after training");
+                "slab backing, CCD scratch) after training");
   flags.AddInt("seed", 42, "random seed");
   flags.AddString("opt", "",
                   "extra method-specific config entries, comma-separated "

@@ -42,13 +42,13 @@ int main(int argc, char** argv) {
         stats.init_seconds, stats.ccd_seconds, stats.objective_final);
     std::printf(
         "       engine: width=%lld panels=%lld scratch=%.1fMB slabs=%s "
-        "(%.1fMB) init-overlap=%d ccd-strip=%lld\n",
+        "(%.1fMB) init-overlap=%d ccd-scratch=%.1fMB\n",
         static_cast<long long>(stats.affinity.panel_width),
         static_cast<long long>(stats.affinity.num_panels),
         stats.affinity.scratch_bytes / 1048576.0,
         stats.slabs_spilled ? "mmap-spill" : "in-RAM",
         stats.slab_bytes / 1048576.0, stats.init_blocks_overlapped,
-        static_cast<long long>(stats.ccd.strip_width));
+        stats.ccd.scratch_bytes / 1048576.0);
     return std::make_pair(std::move(embedding), stats);
   };
 

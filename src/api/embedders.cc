@@ -61,8 +61,7 @@ class PaneEmbedder : public Embedder {
                      << " total=" << stats.slab_bytes
                      << "B; init blocks overlapped="
                      << stats.init_blocks_overlapped
-                     << "; ccd strip=" << stats.ccd.strip_width
-                     << " scratch=" << stats.ccd.scratch_bytes << "B";
+                     << "; ccd scratch=" << stats.ccd.scratch_bytes << "B";
     }
     NodeEmbedding e;
     e.method = name();

@@ -8,8 +8,9 @@
 // RandSVD or a random seed — so a handful of CCD sweeps suffices.
 //
 // The refresh rides the same FactorSlab storage as Pane::Train: one
-// --memory-budget-mb sizes the affinity panels and CCD strips and spills
-// the four n x d factors to memory-mapped files when they exceed it.
+// --memory-budget-mb sizes the affinity panels and CCD's release granule
+// and spills the four n x d factors to memory-mapped files when they
+// exceed it.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +31,8 @@ struct RefreshOptions {
   double epsilon = 0.015;
   int num_threads = 1;
   /// Whole-pipeline memory budget in MiB, as in PaneOptions: panel scratch,
-  /// CCD strips, and the slab spill decision. 0 => unbounded, all in RAM.
+  /// CCD's release granule, and the slab spill decision. 0 => unbounded,
+  /// all in RAM.
   int64_t memory_budget_mb = 0;
   /// Slab backing decision (kAuto => spill when 4 n d exceeds the budget).
   SlabPolicy slab_policy = SlabPolicy::kAuto;

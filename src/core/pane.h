@@ -2,9 +2,9 @@
 // (parallel), assembling affinity approximation (APMI / PAPMI), greedy
 // initialization (GreedyInit / engine-aware SMGreedyInit) and CCD
 // refinement (SVDCCD / PSVDCCD) into one Train() call, under one memory
-// budget: --memory-budget-mb sizes the affinity panel scratch and the CCD
-// strips, and decides whether the pipeline's four n x d factors (F', B',
-// Sf, Sb) live in RAM or in memory-mapped spill slabs.
+// budget: --memory-budget-mb sizes the affinity panel scratch and CCD's
+// release granule, and decides whether the pipeline's four n x d factors
+// (F', B', Sf, Sb) live in RAM or in memory-mapped spill slabs.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,7 @@ struct PaneOptions {
   /// Figures 7-8 experiments sweep this explicitly.
   int ccd_iterations = 0;
   /// Single whole-pipeline memory budget in MiB (--memory-budget-mb). Sizes
-  /// the affinity engine's panel scratch and CCD's phase-2 strips, and —
+  /// the affinity engine's panel scratch and CCD's release granule, and —
   /// under SlabPolicy::kAuto — spills the four n x d factor slabs to
   /// memory-mapped files whenever 4 n d doubles exceed the budget, so
   /// graphs whose factors exceed RAM still run. 0 => unbounded, all in RAM.
@@ -68,8 +68,9 @@ Status ValidatePipelineOptions(double alpha, double epsilon, int num_threads,
 struct SlabStorage {
   FactorSlab::Backing backing = FactorSlab::Backing::kInRam;
   /// Residency pool shared by every spilled slab, budgeted at half the
-  /// pipeline budget (the other half stays with the panel scratch and CCD
-  /// strips); nullptr when the factors stay in RAM. Must outlive the slabs.
+  /// pipeline budget (the other half stays with the panel scratch and the
+  /// rows CCD streams between releases); nullptr when the factors stay in
+  /// RAM. Must outlive the slabs.
   std::unique_ptr<store::BufferPool> buffer_pool;
   /// The four factors' total size, 4 n d doubles.
   int64_t slab_bytes = 0;
@@ -95,7 +96,7 @@ struct PaneStats {
   bool pooled_spill = false;       ///< spilled via the BufferPool (every spill)
   int64_t slab_bytes = 0;          ///< the four n x d factors (F',B',Sf,Sb)
   int init_blocks_overlapped = 0;  ///< init block SVDs run during affinity
-  CcdStats ccd;                    ///< phase-2 strip decomposition
+  CcdStats ccd;                    ///< CCD scratch
   store::BufferPool::Stats pool;   ///< eviction/write-back counters (pooled)
 };
 

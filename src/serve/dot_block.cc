@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "src/common/cpu.h"
 #include "src/common/logging.h"
 #include "src/serve/dot_block_impl.h"
 
@@ -38,21 +39,6 @@ void DotRowsGeneric(const double* qa, const double* qb, int64_t h,
 }
 
 }  // namespace detail
-
-namespace {
-
-bool CpuHasAvx2() {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-  // Resolved once; __builtin_cpu_supports reads cpuid through a cached
-  // libgcc probe, but keep the static anyway so the choice is a plain load.
-  static const bool avx2 = __builtin_cpu_supports("avx2");
-  return avx2;
-#else
-  return false;
-#endif
-}
-
-}  // namespace
 
 DotBlockFn GetDotBlock() {
 #if defined(__x86_64__)
